@@ -18,7 +18,7 @@ import sys
 from datetime import date
 from typing import Optional
 
-from .interp import Define, Interpreter, KispError, format_value
+from .interp import Define, Interpreter, KispError, format_value, parse_program
 from .reduction import DictionaryError, ReductionDictionary, ReductionError, shorten
 from .semantics import eval_term
 from .temporal import Timeline, parse_date
@@ -180,11 +180,15 @@ def _cmd_term(args: argparse.Namespace, tree: FamilyTree) -> int:
     return EXIT_OK
 
 
-def _run_source(interp: Interpreter, source: str) -> int:
+def _run_source(interp: Interpreter, source: str, print_defines: bool = False) -> int:
+    """Parse the whole program, then print each term's value as soon as it
+    is computed.  A parse error prints nothing; an evaluation error leaves
+    the values before it printed."""
     try:
-        for node, value in interp.eval_program(source):
-            if not isinstance(node, Define):
-                print(format_value(value))
+        for node in parse_program(source):
+            value = interp.eval_top(node)
+            if print_defines or not isinstance(node, Define):
+                print(format_value(value), flush=True)
     except KispError as exc:
         print(f"kisp: {exc}", file=sys.stderr)
         return EXIT_EVAL
@@ -225,11 +229,7 @@ def _repl(interp: Interpreter) -> int:
         if not buffer.strip() or not _balanced(buffer):
             continue
         source, buffer = buffer, ""
-        try:
-            for _, value in interp.eval_program(source):
-                print(format_value(value))
-        except KispError as exc:
-            print(f"kisp: {exc}", file=sys.stderr)
+        _run_source(interp, source, print_defines=True)
 
 
 if __name__ == "__main__":

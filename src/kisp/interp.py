@@ -243,7 +243,14 @@ KispValue = Union[
 
 def parse_program(src: str) -> list[KispExpr]:
     """Parse a whole program: a sequence of top-level terms."""
-    return _Parser(tokenize(src)).program()
+    parser = _Parser(tokenize(src))
+    try:
+        return parser.program()
+    except RecursionError:
+        # Nesting deeper than the Python stack fails at the token reached.
+        tok = parser.peek()
+        line, col = (tok.line, tok.col) if tok is not None else parser._eof_pos()
+        raise KispParseError("term nested too deeply", line, col) from None
 
 
 class _Parser:
@@ -429,8 +436,12 @@ class _Parser:
 class Environment:
     __slots__ = ("bindings", "parent")
 
-    def __init__(self, parent: Optional["Environment"] = None):
-        self.bindings: dict[str, object] = {}
+    def __init__(
+        self,
+        parent: Optional["Environment"] = None,
+        bindings: Optional[dict[str, object]] = None,
+    ):
+        self.bindings: dict[str, object] = {} if bindings is None else bindings
         self.parent = parent
 
     def lookup(self, name: str, node: KispExpr) -> object:
@@ -448,25 +459,27 @@ class Environment:
 # --- value helpers -----------------------------------------------------------
 
 
+def value_key(value: object) -> object:
+    """A hashable key such that two KISP values are equal exactly when their
+    keys are equal.  Python's own equality already keeps numerals, strings,
+    dates and ``void`` apart; the tags keep booleans apart from the numerals
+    they equal in Python, and compare persons by id, lists element-wise and
+    functions by identity."""
+    kind = type(value)
+    if kind is PersonRef:
+        return ("person", value.id)  # type: ignore[attr-defined]
+    if kind is tuple:
+        return ("list", tuple(map(value_key, value)))  # type: ignore[call-overload]
+    if kind is bool:
+        return ("boolean", value)
+    if kind is Closure or kind is Builtin:
+        return ("function", id(value))
+    return value
+
+
 def kisp_equal(a: object, b: object) -> bool:
     """Structural equality; values of different types are unequal."""
-    if isinstance(a, bool) or isinstance(b, bool):
-        return isinstance(a, bool) and isinstance(b, bool) and a == b
-    if isinstance(a, int) and isinstance(b, int):
-        return a == b
-    if isinstance(a, str) and isinstance(b, str):
-        return a == b
-    if isinstance(a, Void) and isinstance(b, Void):
-        return True
-    if isinstance(a, date) and isinstance(b, date):
-        return a == b
-    if isinstance(a, PersonRef) and isinstance(b, PersonRef):
-        return a.id == b.id
-    if isinstance(a, tuple) and isinstance(b, tuple):
-        return len(a) == len(b) and all(kisp_equal(x, y) for x, y in zip(a, b))
-    if isinstance(a, (Closure, Builtin)) and isinstance(b, (Closure, Builtin)):
-        return a is b
-    return False
+    return value_key(a) == value_key(b)
 
 
 def format_value(value: object) -> str:
@@ -484,12 +497,40 @@ def format_value(value: object) -> str:
     if isinstance(value, PersonRef):
         return value.id
     if isinstance(value, tuple):
-        return "(" + " ".join(format_value(v) for v in value) + ")"
+        return _format_list(value)
     if isinstance(value, Closure):
         return "<function>"
     if isinstance(value, Builtin):
         return f"<builtin {value.name}>"
     raise TypeError(f"not a KISP value: {value!r}")
+
+
+_CLOSE = object()  # marks the end of a list in _format_list's work stack
+
+
+def _format_list(value: tuple) -> str:
+    """A list's printed form, built with an explicit stack so that lists
+    nested deeper than the Python stack still print."""
+    parts: list[str] = []
+    todo: list[object] = [value]
+    after_open = True
+    while todo:
+        item = todo.pop()
+        if item is _CLOSE:
+            parts.append(")")
+            after_open = False
+            continue
+        if not after_open:
+            parts.append(" ")
+        if isinstance(item, tuple):
+            parts.append("(")
+            todo.append(_CLOSE)
+            todo.extend(reversed(item))
+            after_open = True
+        else:
+            parts.append(format_value(item))
+            after_open = False
+    return "".join(parts)
 
 
 def type_name(value: object) -> str:
@@ -522,6 +563,13 @@ PRELUDE = """
 """
 
 
+# Non-tail evaluations (an argument, a condition, a function body reached
+# through a builtin such as ``map``) may nest this deep; tail calls do not
+# count.  It keeps well inside Python's default recursion limit of 1000.
+MAX_DEPTH = 300
+TOO_DEEP = "evaluation nested too deeply"
+
+
 class Interpreter:
     """One KISP session: a global frame over an optional family tree."""
 
@@ -535,6 +583,7 @@ class Interpreter:
             tree.require_valid()
         self.tree = tree
         self.timeline = timeline if timeline is not None else Timeline.today()
+        self._depth = 0  # pending non-tail evaluations, see eval_in
         self.globals = Environment()
         for builtin in _BUILTINS:
             self.globals.bind(builtin.name, builtin)
@@ -554,52 +603,94 @@ class Interpreter:
     # -- evaluation --
 
     def eval_in(self, env: Environment, node: KispExpr) -> object:
-        if isinstance(node, Literal):
-            return node.value
-        if isinstance(node, Reference):
-            return env.lookup(node.name, node)
-        if isinstance(node, Lambda):
-            return Closure(node.params, node.body, env)
-        if isinstance(node, Define):
-            value = self.eval_in(env, node.value)
-            self.globals.bind(node.name, value)
-            return VOID
-        if isinstance(node, If):
-            cond = self.eval_in(env, node.cond)
-            self._require_bool(cond, node.cond)
-            branch = node.then if cond else node.otherwise
-            return self.eval_in(env, branch)
-        if isinstance(node, ShortCircuit):
-            for i, operand in enumerate(node.operands):
-                value = self.eval_in(env, operand)
-                self._require_bool(value, operand)
-                last = i == len(node.operands) - 1
-                if node.op == "and" and not value:
-                    return False
-                if node.op == "or" and value:
-                    return True
-                if last:
-                    return value
-            raise AssertionError("unreachable")
-        if isinstance(node, Application):
-            fn = self.eval_in(env, node.head)
-            args = [self.eval_in(env, arg) for arg in node.args]
-            return self.apply(fn, args, node)
-        raise AssertionError(f"unknown node {node!r}")
+        """Evaluate ``node`` in ``env``.
+
+        Tail positions (an ``if`` branch, a closure body) continue the loop
+        instead of recursing, so only non-tail nesting uses the Python
+        stack; past ``MAX_DEPTH`` levels of it evaluation fails."""
+        depth = self._depth
+        if depth >= MAX_DEPTH:
+            raise KispRuntimeError(TOO_DEEP, node.line, node.col)
+        self._depth = depth + 1
+        try:
+            while True:
+                kind = type(node)
+                if kind is Application:
+                    head = node.head
+                    kind = type(head)
+                    if kind is Reference:
+                        fn = env.lookup(head.name, head)
+                    elif kind is Literal:
+                        fn = head.value
+                    else:
+                        fn = self.eval_in(env, head)
+                    args = []
+                    for arg in node.args:
+                        kind = type(arg)
+                        if kind is Reference:
+                            args.append(env.lookup(arg.name, arg))
+                        elif kind is Literal:
+                            args.append(arg.value)
+                        else:
+                            args.append(self.eval_in(env, arg))
+                    kind = type(fn)
+                    if kind is Closure and len(args) == len(fn.params):
+                        env = Environment(fn.env, dict(zip(fn.params, args)))
+                        node = fn.body
+                        continue
+                    if (
+                        kind is Builtin
+                        and fn.min_args <= len(args)
+                        and (fn.max_args is None or len(args) <= fn.max_args)
+                    ):
+                        return fn.fn(self, args, node)
+                    return self.apply(fn, args, node)  # raises the matching error
+                if kind is Reference:
+                    return env.lookup(node.name, node)
+                if kind is If:
+                    cond = self.eval_in(env, node.cond)
+                    if cond is True:
+                        node = node.then
+                    elif cond is False:
+                        node = node.otherwise
+                    else:
+                        self._require_bool(cond, node.cond)
+                    continue
+                if kind is Literal:
+                    return node.value
+                if kind is Lambda:
+                    return Closure(node.params, node.body, env)
+                if kind is ShortCircuit:
+                    return self._eval_short_circuit(env, node)
+                if kind is Define:
+                    value = self.eval_in(env, node.value)
+                    self.globals.bind(node.name, value)
+                    return VOID
+                raise AssertionError(f"unknown node {node!r}")
+        finally:
+            self._depth = depth
+
+    def _eval_short_circuit(self, env: Environment, node: ShortCircuit) -> bool:
+        stop = node.op == "or"  # the operand value that decides the result
+        for operand in node.operands:
+            value = self.eval_in(env, operand)
+            self._require_bool(value, operand)
+            if value is stop:
+                return stop
+        return not stop
 
     def apply(self, fn: object, args: list, node: KispExpr) -> object:
-        if isinstance(fn, Closure):
+        """Apply a function value to evaluated arguments (the entry point
+        for builtins that call functions, such as ``filter``)."""
+        if type(fn) is Closure:
             if len(args) != len(fn.params):
                 raise KispRuntimeError(
                     f"function expects {len(fn.params)} argument(s), got {len(args)}",
                     node.line,  # type: ignore[attr-defined]
                     node.col,  # type: ignore[attr-defined]
                 )
-            frame = Environment(fn.env)
-            for name, value in zip(fn.params, args):
-                frame.bind(name, value)
-            return self.eval_in(frame, fn.body)
-        if isinstance(fn, Builtin):
+            return self.eval_in(Environment(fn.env, dict(zip(fn.params, args))), fn.body)
+        if type(fn) is Builtin:
             if len(args) < fn.min_args or (
                 fn.max_args is not None and len(args) > fn.max_args
             ):
@@ -622,7 +713,14 @@ class Interpreter:
         )
 
     def eval_top(self, node: KispExpr) -> object:
-        return self.eval_in(self.globals, node)
+        try:
+            return self.eval_in(self.globals, node)
+        except RecursionError:
+            # Builtins that call back into the evaluator (filter, map) take
+            # more Python stack per level than MAX_DEPTH allows for, and
+            # comparing or joining deeply nested lists recurses outside
+            # eval_in; running out of stack is the same evaluation error.
+            raise KispRuntimeError(TOO_DEEP, node.line, node.col) from None  # type: ignore[attr-defined]
 
     def eval_program(self, src: str) -> list[tuple[KispExpr, object]]:
         """Evaluate a program; returns (term, value) pairs in order."""
@@ -709,11 +807,11 @@ def _want_str(name: str, value: object, node: KispExpr) -> str:
 
 
 def _dedup(values: Sequence[object]) -> tuple:
-    out: list[object] = []
+    """The values without repeats, each kept at its first occurrence."""
+    unique: dict[object, object] = {}
     for v in values:
-        if not any(kisp_equal(v, seen) for seen in out):
-            out.append(v)
-    return tuple(out)
+        unique.setdefault(value_key(v), v)
+    return tuple(unique.values())
 
 
 def _builtin_add(interp, args, node):

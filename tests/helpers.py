@@ -1,11 +1,15 @@
 """Shared test machinery: an independent brute-force evaluator for kin
 terms (built straight from the raw tree JSON, bypassing the library's
-tree and semantics code paths) and random term generators."""
+tree and semantics code paths), random term generators, and the
+interpreter's original pairwise KISP equality."""
 
 from __future__ import annotations
 
 import random
+from datetime import date
+from typing import Sequence
 
+from kisp.interp import Builtin, Closure, PersonRef, Void
 from kisp.terms import Atom, Basic, Concat, Dual, Fork, Inverse, KinTerm, from_spine
 
 ATOMS = list(Atom)
@@ -143,3 +147,37 @@ def random_chain(rng: random.Random, n_concats: int) -> KinTerm:
 def random_subset(rng: random.Random, ids: list[str]) -> frozenset[str]:
     k = rng.randint(0, len(ids))
     return frozenset(rng.sample(ids, k))
+
+
+# --- pairwise KISP equality ------------------------------------------------------
+# The interpreter's original equality and ``join`` deduplication, kept
+# verbatim as the reference for the hashed value key that replaced them.
+
+
+def kisp_equal(a: object, b: object) -> bool:
+    """Structural equality; values of different types are unequal."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return isinstance(a, bool) and isinstance(b, bool) and a == b
+    if isinstance(a, int) and isinstance(b, int):
+        return a == b
+    if isinstance(a, str) and isinstance(b, str):
+        return a == b
+    if isinstance(a, Void) and isinstance(b, Void):
+        return True
+    if isinstance(a, date) and isinstance(b, date):
+        return a == b
+    if isinstance(a, PersonRef) and isinstance(b, PersonRef):
+        return a.id == b.id
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(kisp_equal(x, y) for x, y in zip(a, b))
+    if isinstance(a, (Closure, Builtin)) and isinstance(b, (Closure, Builtin)):
+        return a is b
+    return False
+
+
+def _dedup(values: Sequence[object]) -> tuple:
+    out: list[object] = []
+    for v in values:
+        if not any(kisp_equal(v, seen) for seen in out):
+            out.append(v)
+    return tuple(out)

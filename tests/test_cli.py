@@ -41,6 +41,33 @@ def test_eval_error_exit_code(capsys):
     assert "unbound reference" in err
 
 
+def test_eval_prints_values_before_an_error(capsys):
+    code, out, err = kisp(capsys, "--tree", TREE, "eval", "(+ 1 2) (boom)")
+    assert (code, out) == (4, "3\n")
+    assert "unbound reference" in err
+    # a parse error anywhere aborts before the first term runs
+    code, out, _ = kisp(capsys, "--tree", TREE, "eval", "(+ 1 2) (+ 2 (define x 3))")
+    assert (code, out) == (4, "")
+
+
+def test_eval_too_deep_is_eval_error(capsys):
+    src = "(define s (lambda (n) (if (= n 0) 0 (+ n (s (- n 1)))))) (s 5000)"
+    code, out, err = kisp(capsys, "--tree", TREE, "eval", src)
+    assert (code, out) == (4, "")
+    assert "nested too deeply" in err
+    assert "Traceback" not in err
+
+
+def test_eval_prints_deeply_nested_list(capsys):
+    src = (
+        "(define nest (lambda (n acc) (if (= n 0) acc (nest (- n 1) (list acc)))))"
+        "(nest 5000 (list 1))"
+    )
+    code, out, err = kisp(capsys, "--tree", TREE, "eval", src)
+    assert (code, err) == (0, "")
+    assert out == "(" * 5001 + "1" + ")" * 5001 + "\n"
+
+
 def test_eval_parse_error_exit_code(capsys):
     code, _, err = kisp(capsys, "--tree", TREE, "eval", "(+ 2 (define three 3))")
     assert code == 4

@@ -1,10 +1,17 @@
+from datetime import date
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kisp.interp import (
     VACANT,
     VOID,
     Application,
+    Builtin,
+    Closure,
     Define,
+    Environment,
     Interpreter,
     KEYWORDS,
     KispError,
@@ -23,6 +30,8 @@ from kisp.interp import (
 from kisp.semantics import eval_term
 from kisp.temporal import Timeline, parse_date
 from kisp.terms import parse_kin_term
+
+import helpers
 
 
 def run(interp, src):
@@ -267,6 +276,58 @@ def test_kisp_equal_bool_vs_int():
     assert not kisp_equal((True,), (1,))
 
 
+# Atoms that Python's own equality would confuse: booleans and the numerals
+# they equal, equal persons and dates held in distinct objects, and
+# closures/builtins that are equal field by field but are distinct functions.
+_BODY = Literal(1, 1, 1)
+_ATOMS = [
+    True, False, 1, 0, -1, "bob", "", "true", VOID,
+    PersonRef("bob"), PersonRef("bob"), PersonRef("eve"),
+    date(2000, 1, 1), date(2000, 1, 1), date(1999, 12, 31),
+    Closure((), _BODY, Environment()), Closure((), _BODY, Environment()),
+    Builtin("inc", 1, 1, lambda interp, args, node: args[0] + 1),
+    Builtin("inc", 1, 1, lambda interp, args, node: args[0] + 1),
+]
+kisp_values = st.recursive(
+    st.sampled_from(_ATOMS),
+    lambda inner: st.lists(inner, max_size=4).map(tuple),
+    max_leaves=12,
+)
+
+
+def _rebuilt(value):
+    """An equal value made of fresh list and person objects."""
+    if isinstance(value, tuple):
+        return tuple(_rebuilt(v) for v in value)
+    if isinstance(value, PersonRef):
+        return PersonRef(value.id)
+    return value
+
+
+@given(st.lists(kisp_values, max_size=12), st.lists(kisp_values, max_size=4))
+def test_join_matches_pairwise_dedup(first, second):
+    interp = Interpreter()
+    interp.globals.bind("xs", tuple(first))
+    ys = second + _ATOMS + [_rebuilt(v) for v in first]
+    interp.globals.bind("ys", tuple(ys))
+    got = interp.eval_text("(join xs ys)")
+    want = helpers._dedup(first + ys)
+    # same length and the very same objects: first occurrences, in order
+    assert len(got) == len(want)
+    assert all(a is b for a, b in zip(got, want))
+
+
+@given(kisp_values, kisp_values)
+def test_equality_matches_pairwise(a, b):
+    interp = Interpreter()
+    for other in (b, a, _rebuilt(a), *_ATOMS):
+        interp.globals.bind("a", a)
+        interp.globals.bind("b", other)
+        want = helpers.kisp_equal(a, other)
+        assert interp.eval_text("(= a b)") is want
+        assert kisp_equal(a, other) is want
+
+
 def test_list_builtins(bare):
     assert run(bare, "(list 1 2 3)") == (1, 2, 3)
     assert run(bare, "(list)") == ()
@@ -451,6 +512,7 @@ def test_format_value_cases(interp):
     assert format_value(VOID) == "void"
     assert format_value(()) == "()"
     assert format_value((1, "a", VOID)) == "(1 'a' void)"
+    assert format_value(((1,), (), ((2, "( x )"),), 3)) == "((1) () ((2 '( x )')) 3)"
     assert format_value(PersonRef("bob")) == "bob"
     assert format_value(parse_date("01.09.1939")) == "01.09.1939"
     assert format_value(run(interp, "(lambda (x) x)")) == "<function>"
@@ -465,3 +527,56 @@ def test_script_output_skips_defines(interp):
 def test_script_error_aborts(interp):
     with pytest.raises(KispError):
         interp.eval_program("(+ 1 2) (boom) (+ 3 4)")
+
+
+# --- tail calls and the depth limit ---------------------------------------------
+
+SUM_DOWN = "(define s (lambda (n) (if (= n 0) 0 (+ n (s (- n 1))))))\n"
+
+
+def test_tail_recursive_countdown_runs_in_constant_stack(bare):
+    src = "(define down (lambda (n) (if (= n 0) 0 (down (- n 1))))) (down 100000)"
+    assert bare.eval_text(src) == 0
+
+
+def test_mutual_tail_recursion(bare):
+    bare.eval_text(
+        "(define even? (lambda (n) (if (= n 0) true (odd? (- n 1)))))"
+        "(define odd? (lambda (n) (if (= n 0) false (even? (- n 1)))))"
+    )
+    assert bare.eval_text("(odd? 10001)") is True
+    assert bare.eval_text("(even? 10001)") is False
+
+
+def test_non_tail_recursion_within_limit(bare):
+    assert bare.eval_text(SUM_DOWN + "(s 150)") == 11325
+
+
+def test_non_tail_recursion_past_limit_is_positioned_error(bare):
+    src = SUM_DOWN + "(s 5000)"
+    with pytest.raises(KispRuntimeError) as exc:
+        bare.eval_text(src)
+    # the limit trips inside the recursion, at a node of the definition
+    assert exc.value.line == 1
+    assert (exc.value.line, exc.value.col) in {(t.line, t.col) for t in tokenize(src)}
+    assert bare.eval_text("(+ 1 2)") == 3
+
+
+NEST = "(define nest (lambda (n acc) (if (= n 0) acc (nest (- n 1) (list acc)))))\n"
+
+
+@pytest.mark.parametrize(
+    "src, error",
+    [
+        ("(+ 1 " * 5000 + "0" + ")" * 5000, KispParseError),
+        ("(define f (lambda (n) (if (= n 0) (list) (map f (list (- n 1))))))"
+         "(f 5000)", KispRuntimeError),
+        (NEST + "(= (nest 5000 (list)) (nest 5000 (list)))", KispRuntimeError),
+    ],
+    ids=["nested-source", "recursion-through-map", "deep-list-equality"],
+)
+def test_deep_programs_fail_as_kisp_errors(bare, src, error):
+    # no RecursionError escapes, whatever runs out of Python stack
+    with pytest.raises(error, match="nested too deeply"):
+        bare.eval_text(src)
+    assert bare.eval_text("(+ 1 2)") == 3
