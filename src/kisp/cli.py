@@ -18,7 +18,7 @@ import sys
 from datetime import date
 from typing import Optional
 
-from .interp import Define, Interpreter, KispError, format_value, parse_program
+from .interp import Interpreter, KispError
 from .reduction import DictionaryError, ReductionDictionary, ReductionError, shorten
 from .semantics import eval_term
 from .temporal import Timeline, parse_date
@@ -180,15 +180,12 @@ def _cmd_term(args: argparse.Namespace, tree: FamilyTree) -> int:
     return EXIT_OK
 
 
-def _run_source(interp: Interpreter, source: str, print_defines: bool = False) -> int:
-    """Parse the whole program, then print each term's value as soon as it
-    is computed.  A parse error prints nothing; an evaluation error leaves
-    the values before it printed."""
+def _run_source(interp: Interpreter, source: str, repl: bool = False) -> int:
+    """Print the program's output line by line.  A parse error prints
+    nothing; an evaluation error leaves the values before it printed."""
     try:
-        for node in parse_program(source):
-            value = interp.eval_top(node)
-            if print_defines or not isinstance(node, Define):
-                print(format_value(value), flush=True)
+        for line in interp.output(source, repl):
+            print(line, flush=True)
     except KispError as exc:
         print(f"kisp: {exc}", file=sys.stderr)
         return EXIT_EVAL
@@ -229,7 +226,7 @@ def _repl(interp: Interpreter) -> int:
         if not buffer.strip() or not _balanced(buffer):
             continue
         source, buffer = buffer, ""
-        _run_source(interp, source, print_defines=True)
+        _run_source(interp, source, repl=True)
 
 
 if __name__ == "__main__":

@@ -18,11 +18,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from datetime import date
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from . import temporal
 from .temporal import Timeline, format_date, parse_date
-from .tree import FamilyTree, Sex
+from .terms import Atom
+from .tree import FamilyTree, basic_kin
 
 KEYWORDS = frozenset(
     {"true", "false", "define", "lambda", "people", "now", "void", "if", "vacant"}
@@ -733,13 +734,18 @@ class Interpreter:
             result = value
         return result
 
+    def output(self, src: str, repl: bool = False) -> Iterator[str]:
+        """Parse the whole program, then yield the printed form of each
+        top-level term's value as soon as it is computed.  A script prints
+        every term but ``define``; the REPL prints defines too."""
+        for node in parse_program(src):
+            value = self.eval_top(node)
+            if repl or type(node) is not Define:
+                yield format_value(value)
+
     def script_output(self, src: str) -> list[str]:
         """Printed lines for a script: one per top-level non-define term."""
-        lines = []
-        for node, value in self.eval_program(src):
-            if not isinstance(node, Define):
-                lines.append(format_value(value))
-        return lines
+        return list(self.output(src))
 
     # -- helpers used by builtins --
 
@@ -888,7 +894,12 @@ def _builtin_map(interp, args, node):
     return tuple(interp.apply(fn, [item], node) for item in lst)
 
 
-def _kin_accessor(name: str, relation: Callable[[FamilyTree, str], Sequence[str]]):
+def _kin_builtin(
+    name: str, relation: Callable[[FamilyTree, str], Iterable[str]]
+) -> Builtin:
+    """A one-argument builtin mapping a person, or a list of persons, to the
+    related persons in tree order."""
+
     def run(interp: Interpreter, args, node):
         tree = interp.require_tree(node)
         value = args[0]
@@ -908,14 +919,11 @@ def _kin_accessor(name: str, relation: Callable[[FamilyTree, str], Sequence[str]
         ordered = sorted(ids, key=tree.index_of)
         return tuple(PersonRef(pid) for pid in ordered)
 
-    return run
+    return Builtin(name, 1, 1, run)
 
 
-def _sex_filtered(getter, sex: Sex):
-    def relation(tree: FamilyTree, pid: str) -> list[str]:
-        return [q for q in getter(tree, pid) if tree.person(q).sex is sex]
-
-    return relation
+def _basic_relation(atom: Atom) -> Callable[[FamilyTree, str], frozenset[str]]:
+    return lambda tree, pid: basic_kin(tree, atom, pid)
 
 
 def _builtin_attr(interp, args, node):
@@ -987,48 +995,9 @@ _BUILTINS = [
     Builtin("join", 1, None, _builtin_join),
     Builtin("filter", 2, 2, _builtin_filter),
     Builtin("map", 2, 2, _builtin_map),
-    Builtin("children", 1, 1, _kin_accessor("children", lambda t, p: t.children_of(p))),
-    Builtin(
-        "son",
-        1,
-        1,
-        _kin_accessor("son", _sex_filtered(lambda t, p: t.children_of(p), Sex.MALE)),
-    ),
-    Builtin(
-        "daughter",
-        1,
-        1,
-        _kin_accessor(
-            "daughter", _sex_filtered(lambda t, p: t.children_of(p), Sex.FEMALE)
-        ),
-    ),
-    Builtin(
-        "father",
-        1,
-        1,
-        _kin_accessor("father", _sex_filtered(lambda t, p: t.parents_of(p), Sex.MALE)),
-    ),
-    Builtin(
-        "mother",
-        1,
-        1,
-        _kin_accessor(
-            "mother", _sex_filtered(lambda t, p: t.parents_of(p), Sex.FEMALE)
-        ),
-    ),
-    Builtin("spouse", 1, 1, _kin_accessor("spouse", lambda t, p: t.spouses_of(p))),
-    Builtin(
-        "husband",
-        1,
-        1,
-        _kin_accessor("husband", _sex_filtered(lambda t, p: t.spouses_of(p), Sex.MALE)),
-    ),
-    Builtin(
-        "wife",
-        1,
-        1,
-        _kin_accessor("wife", _sex_filtered(lambda t, p: t.spouses_of(p), Sex.FEMALE)),
-    ),
+    _kin_builtin("children", lambda t, p: t.children_of(p)),
+    _kin_builtin("spouse", lambda t, p: t.spouses_of(p)),
+    *(_kin_builtin(atom.value, _basic_relation(atom)) for atom in Atom),
     Builtin("attr", 2, 2, _builtin_attr),
     Builtin("date", 1, 1, _builtin_date),
     Builtin("before", 2, 2, _builtin_before),

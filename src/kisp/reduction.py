@@ -248,7 +248,7 @@ def optimal_shorten(
         return key
 
     best_state = start
-    best_score = _state_score(start)
+    best_score = remaining_concats(ReducedTerm(start))
     seen: set[tuple[Segment, ...]] = {start}
     stack = [start]
     nodes = 0
@@ -259,7 +259,7 @@ def optimal_shorten(
             raise SearchBudgetError(
                 f"exhaustive reduction exceeded the budget of {budget} states"
             )
-        score = _state_score(state)
+        score = remaining_concats(ReducedTerm(state))
         if score < best_score:
             best_state, best_score = state, score
         n = len(state)
@@ -279,8 +279,3 @@ def optimal_shorten(
                         seen.add(child)
                         stack.append(child)
     return ReducedTerm(best_state)
-
-
-def _state_score(state: tuple[Segment, ...]) -> int:
-    internal = sum(concat_count(seg) for seg in state if not isinstance(seg, str))
-    return len(state) - 1 + internal

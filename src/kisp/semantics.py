@@ -4,14 +4,14 @@ Every term denotes a function on person sets.  An atom is the pointwise
 union of its basic relation; concatenation is composition with the
 right factor applied first; fork is union; inverse is the preimage
 (adjoint) of the inner function; dual re-expresses the term with sexes
-swapped.
+swapped, so ``eval_term`` removes every dual with ``push_dual`` first.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .terms import Basic, Concat, Dual, Fork, Inverse, KinTerm
+from .terms import Basic, Concat, Fork, Inverse, KinTerm, push_dual
 from .tree import FamilyTree, basic_kin
 
 PersonSet = frozenset[str]
@@ -23,7 +23,7 @@ def eval_term(tree: FamilyTree, term: KinTerm, people: Iterable[str]) -> PersonS
     input_set = frozenset(people)
     for pid in input_set:
         tree.person(pid)
-    return _eval(tree, term, input_set)
+    return _eval(tree, push_dual(term), input_set)
 
 
 def _eval(tree: FamilyTree, term: KinTerm, people: PersonSet) -> PersonSet:
@@ -43,34 +43,4 @@ def _eval(tree: FamilyTree, term: KinTerm, people: PersonSet) -> PersonSet:
             for p in tree.persons
             if _eval(tree, inner, frozenset((p.id,))) & people
         )
-    if isinstance(term, Dual):
-        return _eval(tree, _flip_once(term.inner), people)
     raise TypeError(f"not a kin term: {term!r}")
-
-
-def _flip_once(term: KinTerm) -> KinTerm:
-    """One step of dual elimination: push the dual through the root node."""
-    if isinstance(term, Basic):
-        return Basic(term.atom.opposite)
-    if isinstance(term, Concat):
-        return Concat(Dual(term.left), Dual(term.right))
-    if isinstance(term, Fork):
-        return Fork(Dual(term.left), Dual(term.right))
-    if isinstance(term, Inverse):
-        return Inverse(Dual(term.inner))
-    if isinstance(term, Dual):
-        return term.inner
-    raise TypeError(f"not a kin term: {term!r}")
-
-
-def eval_inverse_oracle(tree: FamilyTree, term: KinTerm, people: Iterable[str]) -> PersonSet:
-    """Reference implementation of inverse by full scan over all persons.
-
-    Keeps v iff applying ``term`` to {v} meets the input set; used by
-    tests as an independent route to the same answer as Inverse.
-    """
-    tree.require_valid()
-    input_set = frozenset(people)
-    return frozenset(
-        p.id for p in tree.persons if eval_term(tree, term, (p.id,)) & input_set
-    )

@@ -204,7 +204,15 @@ class _Parser:
 
 def parse_kin_term(src: str) -> KinTerm:
     """Parse kin-term notation into a term tree."""
-    return _Parser(_lex(src), len(src)).parse()
+    parser = _Parser(_lex(src), len(src))
+    try:
+        return parser.parse()
+    except RecursionError:
+        # Nesting deeper than the Python stack fails at the token reached.
+        tok = parser.peek()
+        raise KinTermError(
+            "term nested too deeply", parser.length if tok is None else tok[2]
+        ) from None
 
 
 def render(term: KinTerm) -> str:

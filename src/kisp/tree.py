@@ -277,6 +277,18 @@ def validate_tree(tree: FamilyTree) -> list[ConstraintViolation]:
     return list(tree.violations)
 
 
+# Each basic kinship atom follows one adjacency of ``FamilyTree`` and keeps
+# the related persons of one sex.
+RELATIONS: dict[Atom, tuple[str, Sex]] = {
+    Atom.FATHER: ("_parents", Sex.MALE),
+    Atom.MOTHER: ("_parents", Sex.FEMALE),
+    Atom.SON: ("_children", Sex.MALE),
+    Atom.DAUGHTER: ("_children", Sex.FEMALE),
+    Atom.HUSBAND: ("_spouses", Sex.MALE),
+    Atom.WIFE: ("_spouses", Sex.FEMALE),
+}
+
+
 def basic_kin(tree: FamilyTree, atom: Atom, person_id: str) -> frozenset[str]:
     """The person set named by one basic kinship atom, relative to a person.
 
@@ -284,22 +296,18 @@ def basic_kin(tree: FamilyTree, atom: Atom, person_id: str) -> frozenset[str]:
     filter the children by the *result* person's sex.
     """
     tree.require_valid()
-    person = tree.person(person_id)
-    if atom is Atom.FATHER:
-        ids = (p for p in tree.parents_of(person.id) if tree.person(p).sex is Sex.MALE)
-    elif atom is Atom.MOTHER:
-        ids = (p for p in tree.parents_of(person.id) if tree.person(p).sex is Sex.FEMALE)
-    elif atom is Atom.SON:
-        ids = (c for c in tree.children_of(person.id) if tree.person(c).sex is Sex.MALE)
-    elif atom is Atom.DAUGHTER:
-        ids = (c for c in tree.children_of(person.id) if tree.person(c).sex is Sex.FEMALE)
-    elif atom is Atom.HUSBAND:
-        ids = (s for s in tree.spouses_of(person.id) if tree.person(s).sex is Sex.MALE)
-    elif atom is Atom.WIFE:
-        ids = (s for s in tree.spouses_of(person.id) if tree.person(s).sex is Sex.FEMALE)
-    else:
+    tree.person(person_id)
+    if not isinstance(atom, Atom):
         raise ValueError(f"unknown kinship atom {atom!r}")
-    return frozenset(ids)
+    adjacency, sex = RELATIONS[atom]
+    persons = tree._persons
+    # A plain loop: the lists hold a few ids, and on Python 3.11 a
+    # comprehension's own frame costs more than the filtering.
+    related = []
+    for pid in getattr(tree, adjacency)[person_id]:
+        if persons[pid].sex is sex:
+            related.append(pid)
+    return frozenset(related)
 
 
 # --- tree file format --------------------------------------------------------
@@ -352,6 +360,8 @@ def load_tree(path: str) -> FamilyTree:
         raise StructuralError(f"cannot read tree file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise StructuralError(f"tree file is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise StructuralError("tree file is nested too deeply") from None
     return from_data(data)
 
 

@@ -1,16 +1,18 @@
 """Shared test machinery: an independent brute-force evaluator for kin
 terms (built straight from the raw tree JSON, bypassing the library's
-tree and semantics code paths), random term generators, and the
-interpreter's original pairwise KISP equality."""
+tree and semantics code paths), a full-scan inverse oracle, random term
+generators, and the interpreter's original pairwise KISP equality."""
 
 from __future__ import annotations
 
 import random
 from datetime import date
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from kisp.interp import Builtin, Closure, PersonRef, Void
+from kisp.semantics import eval_term
 from kisp.terms import Atom, Basic, Concat, Dual, Fork, Inverse, KinTerm, from_spine
+from kisp.tree import FamilyTree
 
 ATOMS = list(Atom)
 
@@ -88,6 +90,21 @@ class TreeOracle:
         if isinstance(term, Dual):
             return self._eval(term.inner, people, not flip)
         raise TypeError(term)
+
+
+def eval_inverse_oracle(
+    tree: FamilyTree, term: KinTerm, people: Iterable[str]
+) -> frozenset[str]:
+    """Reference implementation of inverse by full scan over all persons.
+
+    Keeps v iff applying ``term`` to {v} meets the input set; an
+    independent route to the same answer as Inverse.
+    """
+    tree.require_valid()
+    input_set = frozenset(people)
+    return frozenset(
+        p.id for p in tree.persons if eval_term(tree, term, (p.id,)) & input_set
+    )
 
 
 def random_term(

@@ -175,6 +175,15 @@ def test_malformed_tree_is_file_error(capsys, tmp_path):
     assert code == 2
 
 
+def test_deeply_nested_tree_is_file_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    code, out, err = kisp(capsys, "--tree", str(path), "validate")
+    assert (code, out) == (2, "")
+    assert "nested too deeply" in err
+    assert "Traceback" not in err
+
+
 # --- term ----------------------------------------------------------------------
 
 
@@ -200,6 +209,14 @@ def test_term_unknown_person(capsys):
 def test_term_parse_error(capsys):
     code, _, err = kisp(capsys, "--tree", TREE, "term", "uncle", "eli")
     assert code == 4
+
+
+def test_term_nested_too_deeply_is_eval_error(capsys):
+    term = "(" * 1200 + "father" + ")" * 1200
+    code, out, err = kisp(capsys, "--tree", TREE, "term", term, "eli")
+    assert (code, out) == (4, "")
+    assert "nested too deeply (at position" in err
+    assert "Traceback" not in err
 
 
 # --- reduce ---------------------------------------------------------------------
@@ -244,6 +261,16 @@ def test_reduce_inverse_rejected(capsys):
 def test_reduce_missing_dictionary(capsys):
     code, _, err = kisp(capsys, "--dict", "/no/such.dict", "reduce", "father")
     assert code == 2
+
+
+def test_reduce_dictionary_nested_too_deeply_is_file_error(capsys, tmp_path):
+    path = tmp_path / "deep.dict"
+    pattern = "(" * 1200 + "son . (father | mother)" + ")" * 1200
+    path.write_text(f"{pattern} => brother\n", encoding="utf-8")
+    code, out, err = kisp(capsys, "--dict", str(path), "reduce", "son (father | mother)")
+    assert (code, out) == (2, "")
+    assert "line 1: term nested too deeply" in err
+    assert "Traceback" not in err
 
 
 # --- repl -----------------------------------------------------------------------

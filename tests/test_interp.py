@@ -29,7 +29,8 @@ from kisp.interp import (
 )
 from kisp.semantics import eval_term
 from kisp.temporal import Timeline, parse_date
-from kisp.terms import parse_kin_term
+from kisp.terms import Atom, parse_kin_term
+from kisp.tree import basic_kin
 
 import helpers
 
@@ -478,6 +479,23 @@ def test_accessors_agree_with_kin_semantics(interp, smith_tree):
         interp.globals.bind("subject", PersonRef(p.id))
         got = {ref.id for ref in run(interp, "(parents subject)")}
         assert got == eval_term(smith_tree, term, {p.id})
+
+
+def test_relation_table_agrees_with_oracle(interp, smith_tree, smith_raw):
+    oracle = helpers.TreeOracle(smith_raw)
+    for atom in Atom:
+        for pid in oracle.ids:
+            assert basic_kin(smith_tree, atom, pid) == oracle.atom(atom.value, pid)
+    expected = {
+        "children": oracle.children,
+        "spouse": oracle.spouses,
+        **{a.value: {p: oracle.atom(a.value, p) for p in oracle.ids} for a in Atom},
+    }
+    for name, related in expected.items():
+        for pid in oracle.ids:
+            interp.globals.bind("subject", PersonRef(pid))
+            got = [ref.id for ref in run(interp, f"({name} subject)")]
+            assert got == [q for q in oracle.ids if q in related[pid]]
 
 
 def test_accessors_require_tree():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from kisp.semantics import eval_inverse_oracle, eval_term
+from kisp.semantics import eval_term
 from kisp.terms import Concat, Dual, Fork, Inverse, parse_kin_term, push_dual
 from kisp.tree import (
     FamilyTree,
@@ -14,7 +14,7 @@ from kisp.tree import (
 )
 from kisp.temporal import parse_date
 
-from helpers import TreeOracle, random_subset, random_term
+from helpers import TreeOracle, eval_inverse_oracle, random_subset, random_term
 
 P = parse_kin_term
 

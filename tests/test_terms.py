@@ -127,6 +127,18 @@ def test_parse_error_carries_position():
     assert exc.value.position == 7
 
 
+def test_parse_nested_past_the_stack_is_positioned_error():
+    src = "(" * 1200 + "father" + ")" * 1200
+    with pytest.raises(KinTermError, match="nested too deeply") as exc:
+        parse_kin_term(src)
+    assert 0 < exc.value.position < 1200
+    assert src[exc.value.position] == "("
+
+
+def test_parse_moderate_nesting():
+    assert parse_kin_term("(" * 50 + "father" + ")" * 50) == FATHER
+
+
 # --- rendering ------------------------------------------------------------
 
 
