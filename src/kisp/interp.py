@@ -1,4 +1,4 @@
-"""The KISP language: lexer, parser, and tree-walking evaluator.
+"""The KISP language: lexer, parser, and an evaluator that analyses terms into functions.
 
 KISP is a small LISP dialect for querying family trees.  Programs are
 sequences of terms; a parenthesized term applies a function to
@@ -15,15 +15,18 @@ types.  ``void`` is a singleton distinct from every other value.
 
 from __future__ import annotations
 
+import functools
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 from datetime import date
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from types import FunctionType as _Code  # an analysed term; never a KISP value
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from . import temporal
 from .temporal import Timeline, format_date, parse_date
 from .terms import Atom
-from .tree import FamilyTree, basic_kin
+from .tree import FamilyTree, related
 
 KEYWORDS = frozenset(
     {"true", "false", "define", "lambda", "people", "now", "void", "if", "vacant"}
@@ -223,7 +226,8 @@ class PersonRef:
 class Closure:
     params: tuple[str, ...]
     body: KispExpr
-    env: "Environment"
+    env: tuple  # the frame the lambda was evaluated in
+    code: Optional[Callable] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -242,22 +246,22 @@ KispValue = Union[
 # --- parser ------------------------------------------------------------------
 
 
+# Parentheses may nest this deep: text within it parses and is analysed well
+# inside Python's recursion limit of 1000, even from a caller a few hundred
+# frames deep.  A deeper '(' fails as "term nested too deeply".
+MAX_NESTING = 200
+
+
 def parse_program(src: str) -> list[KispExpr]:
     """Parse a whole program: a sequence of top-level terms."""
-    parser = _Parser(tokenize(src))
-    try:
-        return parser.program()
-    except RecursionError:
-        # Nesting deeper than the Python stack fails at the token reached.
-        tok = parser.peek()
-        line, col = (tok.line, tok.col) if tok is not None else parser._eof_pos()
-        raise KispParseError("term nested too deeply", line, col) from None
+    return _Parser(tokenize(src)).program()
 
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # open forms
 
     def peek(self) -> Optional[Token]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -321,6 +325,9 @@ class _Parser:
 
     def _form(self, top_level: bool) -> KispExpr:
         open_tok = self.advance()  # "("
+        self.depth += 1  # back down in _close or _ensure_close
+        if self.depth > MAX_NESTING:
+            raise KispParseError("term nested too deeply", open_tok.line, open_tok.col)
         tok = self.peek()
         if tok is None:
             raise KispParseError("unbalanced '('", open_tok.line, open_tok.col)
@@ -354,6 +361,7 @@ class _Parser:
             raise KispParseError("unbalanced '('", open_tok.line, open_tok.col)
         assert tok.kind == ")"
         self.advance()
+        self.depth -= 1
 
     def _binding_name(self, what: str) -> Token:
         tok = self.peek()
@@ -429,29 +437,19 @@ class _Parser:
         if tok.kind != ")":
             raise KispParseError(message, tok.line, tok.col)
         self.advance()
+        self.depth -= 1
 
 
 # --- environments ------------------------------------------------------------
 
 
 class Environment:
-    __slots__ = ("bindings", "parent")
+    """The global frame; lambda parameters live in analysed frames."""
 
-    def __init__(
-        self,
-        parent: Optional["Environment"] = None,
-        bindings: Optional[dict[str, object]] = None,
-    ):
-        self.bindings: dict[str, object] = {} if bindings is None else bindings
-        self.parent = parent
+    __slots__ = ("bindings",)
 
-    def lookup(self, name: str, node: KispExpr) -> object:
-        env: Optional[Environment] = self
-        while env is not None:
-            if name in env.bindings:
-                return env.bindings[name]
-            env = env.parent
-        raise KispRuntimeError(f"unbound reference {name!r}", node.line, node.col)  # type: ignore[attr-defined]
+    def __init__(self) -> None:
+        self.bindings: dict[str, object] = {}
 
     def bind(self, name: str, value: object) -> None:
         self.bindings[name] = value
@@ -569,6 +567,9 @@ PRELUDE = """
 # count.  It keeps well inside Python's default recursion limit of 1000.
 MAX_DEPTH = 300
 TOO_DEEP = "evaluation nested too deeply"
+# A closure applied in tail position, left to the caller's trampoline.
+_TailCall = namedtuple("_TailCall", "fn values")
+_LEAVES = (Literal, Reference)  # read in place, not an evaluation of their own
 
 
 class Interpreter:
@@ -584,13 +585,14 @@ class Interpreter:
             tree.require_valid()
         self.tree = tree
         self.timeline = timeline if timeline is not None else Timeline.today()
-        self._depth = 0  # pending non-tail evaluations, see eval_in
+        self._depth = 0  # pending non-tail evaluations where a builtin runs
         self.globals = Environment()
         for builtin in _BUILTINS:
             self.globals.bind(builtin.name, builtin)
         people: tuple = ()
         if tree is not None:
             people = tuple(PersonRef(p.id) for p in tree.persons)
+        self._person_refs = {ref.id: ref for ref in people}  # shared, immutable
         self.globals.bind("people", people)
         self.globals.bind("now", self.timeline.now)
         if ego is not None:
@@ -603,125 +605,179 @@ class Interpreter:
 
     # -- evaluation --
 
-    def eval_in(self, env: Environment, node: KispExpr) -> object:
-        """Evaluate ``node`` in ``env``.
+    def _analyse(self, node: KispExpr, scope: tuple, j: int, tail: bool = False) -> Callable:
+        """Analyse ``node`` once into a Python function, its code, run as
+        ``code(frame, level)``.  ``scope`` names the parameters of the
+        enclosing lambdas, outermost first, and ``frame`` holds their values
+        in the same order; other names are global, looked up when evaluated.
+        ``level`` counts non-tail evaluations at the enclosing closure body,
+        ``j`` more at the node.  In ``tail`` position a closure application
+        returns a ``_TailCall``, an ``if`` its branch's code."""
+        # A code reads what the analysis fixed from its defaults: fast local
+        # reads, and one tracked tuple per code rather than one cell per name.
+        limit = MAX_DEPTH + 1 - j  # reached only where the node adds a level
+        kind = type(node)
+        if kind is Literal or kind is Reference:
 
-        Tail positions (an ``if`` branch, a closure body) continue the loop
-        instead of recursing, so only non-tail nesting uses the Python
-        stack; past ``MAX_DEPTH`` levels of it evaluation fails."""
-        depth = self._depth
-        if depth >= MAX_DEPTH:
-            raise KispRuntimeError(TOO_DEEP, node.line, node.col)
-        self._depth = depth + 1
-        try:
-            while True:
-                kind = type(node)
-                if kind is Application:
-                    head = node.head
-                    kind = type(head)
-                    if kind is Reference:
-                        fn = env.lookup(head.name, head)
-                    elif kind is Literal:
-                        fn = head.value
-                    else:
-                        fn = self.eval_in(env, head)
-                    args = []
-                    for arg in node.args:
-                        kind = type(arg)
-                        if kind is Reference:
-                            args.append(env.lookup(arg.name, arg))
-                        elif kind is Literal:
-                            args.append(arg.value)
-                        else:
-                            args.append(self.eval_in(env, arg))
-                    kind = type(fn)
-                    if kind is Closure and len(args) == len(fn.params):
-                        env = Environment(fn.env, dict(zip(fn.params, args)))
-                        node = fn.body
-                        continue
-                    if (
-                        kind is Builtin
-                        and fn.min_args <= len(args)
-                        and (fn.max_args is None or len(args) <= fn.max_args)
-                    ):
-                        return fn.fn(self, args, node)
-                    return self.apply(fn, args, node)  # raises the matching error
-                if kind is Reference:
-                    return env.lookup(node.name, node)
-                if kind is If:
-                    cond = self.eval_in(env, node.cond)
-                    if cond is True:
-                        node = node.then
-                    elif cond is False:
-                        node = node.otherwise
-                    else:
-                        self._require_bool(cond, node.cond)
-                    continue
-                if kind is Literal:
-                    return node.value
-                if kind is Lambda:
-                    return Closure(node.params, node.body, env)
-                if kind is ShortCircuit:
-                    return self._eval_short_circuit(env, node)
-                if kind is Define:
-                    value = self.eval_in(env, node.value)
-                    self.globals.bind(node.name, value)
-                    return VOID
-                raise AssertionError(f"unknown node {node!r}")
-        finally:
-            self._depth = depth
+            def checked(frame, level, leaf=self._leaf(node, scope), limit=limit, node=node):
+                if level >= limit:
+                    raise KispRuntimeError(TOO_DEEP, node.line, node.col)
+                return leaf(frame, level)
 
-    def _eval_short_circuit(self, env: Environment, node: ShortCircuit) -> bool:
-        stop = node.op == "or"  # the operand value that decides the result
-        for operand in node.operands:
-            value = self.eval_in(env, operand)
-            self._require_bool(value, operand)
-            if value is stop:
-                return stop
-        return not stop
+            return checked
+        if kind is Application:  # a leaf operand is read in place
+            head, *args = [
+                self._leaf(a, scope) if type(a) in _LEAVES else self._analyse(a, scope, j + 1)
+                for a in (node.head, *node.args)
+            ]
+            a0, a1, a2 = (*args, None, None, None)[:3]
+
+            def application(frame, level, head=head, a0=a0, a1=a1, a2=a2, args=args,
+                            arity=len(args), interp=self, limit=limit, j=j, tail=tail, node=node):
+                if level >= limit:
+                    raise KispRuntimeError(TOO_DEEP, node.line, node.col)
+                fn = head(frame, level)
+                if arity == 1:  # short lists without a comprehension's frame
+                    values = [a0(frame, level)]
+                elif arity == 2:
+                    values = [a0(frame, level), a1(frame, level)]
+                elif arity == 3:
+                    values = [a0(frame, level), a1(frame, level), a2(frame, level)]
+                else:
+                    values = [arg(frame, level) for arg in args]
+                kind = type(fn)
+                if kind is Builtin and fn.min_args <= arity and (
+                    fn.max_args is None or arity <= fn.max_args
+                ):
+                    interp._depth = level + j  # read by apply
+                    return fn.fn(interp, values, node)
+                if kind is not Closure or arity != len(fn.params):
+                    return interp.apply(fn, values, node)  # raises the matching error
+                if tail:
+                    return _TailCall(fn, values)
+                level += j
+                while True:  # the trampoline, as in apply
+                    frame = (*fn.env, *values)
+                    result = fn.code(frame, level)
+                    while type(result) is _Code:
+                        result = result(frame, level)
+                    if type(result) is not _TailCall:
+                        return result
+                    fn, values = result
+
+            return application
+        if kind is If:
+            cond = self._analyse(node.cond, scope, j + 1)
+            then = self._analyse(node.then, scope, j, tail)
+            otherwise = self._analyse(node.otherwise, scope, j, tail)
+
+            def if_(frame, level, cond=cond, then=then, otherwise=otherwise, interp=self,
+                    limit=limit, tail=tail, node=node):
+                if level >= limit:
+                    raise KispRuntimeError(TOO_DEEP, node.line, node.col)
+                test = cond(frame, level)
+                if test is not True and test is not False:
+                    interp._require_bool(test, node.cond)
+                branch = then if test else otherwise
+                return branch if tail else branch(frame, level)
+
+            return if_
+        if kind is Lambda:
+            code = self._analyse(node.body, (*scope, *node.params), 0, True)
+
+            def lambda_(frame, level, code=code, limit=limit, node=node):
+                if level >= limit:
+                    raise KispRuntimeError(TOO_DEEP, node.line, node.col)
+                return Closure(node.params, node.body, frame, code)
+
+            return lambda_
+        if kind is ShortCircuit:
+            operands = [(self._analyse(o, scope, j + 1), o) for o in node.operands]
+
+            def short_circuit(frame, level, operands=operands, stop=node.op == "or",
+                              interp=self, limit=limit, node=node):
+                # ``stop`` is the operand value that decides the result
+                if level >= limit:
+                    raise KispRuntimeError(TOO_DEEP, node.line, node.col)
+                for code, operand in operands:
+                    value = code(frame, level)
+                    if value is stop:
+                        return stop
+                    interp._require_bool(value, operand)
+                return not stop
+
+            return short_circuit
+        if kind is Define:
+            value = self._analyse(node.value, scope, j + 1)
+
+            def define(frame, level, value=value, bindings=self.globals.bindings, name=node.name):
+                bindings[name] = value(frame, level)
+                return VOID
+
+            return define
+        raise AssertionError(f"unknown node {node!r}")
+
+    def _leaf(self, node: KispExpr, scope: tuple) -> Callable:
+        if type(node) is Literal:
+            return lambda frame, level, value=node.value: value
+        name = node.name  # type: ignore[attr-defined]
+        if name in scope:  # the innermost parameter of that name
+            return lambda frame, level, slot=len(scope) - 1 - scope[::-1].index(name): frame[slot]
+
+        def global_(frame, level, bindings=self.globals.bindings, name=name, node=node):
+            try:
+                return bindings[name]
+            except KeyError:
+                raise KispRuntimeError(
+                    f"unbound reference {name!r}", node.line, node.col
+                ) from None
+
+        return global_
 
     def apply(self, fn: object, args: list, node: KispExpr) -> object:
         """Apply a function value to evaluated arguments (the entry point
         for builtins that call functions, such as ``filter``)."""
+        if type(fn) is Closure and len(args) == len(fn.params):
+            depth = self._depth
+            if depth >= MAX_DEPTH:
+                raise KispRuntimeError(TOO_DEEP, fn.body.line, fn.body.col)
+            level = depth + 1
+            while True:  # the trampoline: jumps to branches, tail calls
+                frame = (*fn.env, *args)
+                result = fn.code(frame, level)  # type: ignore[misc]
+                while type(result) is _Code:
+                    result = result(frame, level)
+                if type(result) is not _TailCall:
+                    self._depth = depth  # the builtin may apply again
+                    return result
+                fn, args = result
+        n, line, col = len(args), node.line, node.col  # type: ignore[attr-defined]
         if type(fn) is Closure:
-            if len(args) != len(fn.params):
-                raise KispRuntimeError(
-                    f"function expects {len(fn.params)} argument(s), got {len(args)}",
-                    node.line,  # type: ignore[attr-defined]
-                    node.col,  # type: ignore[attr-defined]
-                )
-            return self.eval_in(Environment(fn.env, dict(zip(fn.params, args))), fn.body)
-        if type(fn) is Builtin:
-            if len(args) < fn.min_args or (
-                fn.max_args is not None and len(args) > fn.max_args
-            ):
-                if fn.max_args == fn.min_args:
-                    wanted = str(fn.min_args)
-                elif fn.max_args is None:
-                    wanted = f"at least {fn.min_args}"
-                else:
-                    wanted = f"{fn.min_args}..{fn.max_args}"
-                raise KispRuntimeError(
-                    f"'{fn.name}' expects {wanted} argument(s), got {len(args)}",
-                    node.line,  # type: ignore[attr-defined]
-                    node.col,  # type: ignore[attr-defined]
-                )
+            raise KispRuntimeError(
+                f"function expects {len(fn.params)} argument(s), got {n}", line, col
+            )
+        if type(fn) is not Builtin:
+            raise KispRuntimeError(f"cannot apply a {type_name(fn)} as a function", line, col)
+        if fn.min_args <= n and (fn.max_args is None or n <= fn.max_args):
             return fn.fn(self, args, node)
-        raise KispRuntimeError(
-            f"cannot apply a {type_name(fn)} as a function",
-            node.line,  # type: ignore[attr-defined]
-            node.col,  # type: ignore[attr-defined]
+        wanted = (
+            str(fn.min_args) if fn.max_args == fn.min_args
+            else f"at least {fn.min_args}" if fn.max_args is None
+            else f"{fn.min_args}..{fn.max_args}"
         )
+        raise KispRuntimeError(f"'{fn.name}' expects {wanted} argument(s), got {n}", line, col)
 
     def eval_top(self, node: KispExpr) -> object:
         try:
-            return self.eval_in(self.globals, node)
+            return self._analyse(node, (), 0)((), 1)
         except RecursionError:
             # Builtins that call back into the evaluator (filter, map) take
             # more Python stack per level than MAX_DEPTH allows for, and
             # comparing or joining deeply nested lists recurses outside
-            # eval_in; running out of stack is the same evaluation error.
+            # the evaluator; running out of stack is the same evaluation error.
             raise KispRuntimeError(TOO_DEEP, node.line, node.col) from None  # type: ignore[attr-defined]
+        finally:
+            self._depth = 0
 
     def eval_program(self, src: str) -> list[tuple[KispExpr, object]]:
         """Evaluate a program; returns (term, value) pairs in order."""
@@ -776,40 +832,23 @@ def _arg_error(name: str, expected: str, value: object, node: KispExpr) -> KispR
     )
 
 
-def _want_int(name: str, value: object, node: KispExpr) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise _arg_error(name, "a numeral", value, node)
-    return value
+def _wanting(kind: type, expected: str) -> Callable[[str, object, KispExpr], object]:
+    """A check that a builtin's argument is of ``kind``; booleans are no numerals."""
+
+    def want(name: str, value: object, node: KispExpr) -> object:
+        if not isinstance(value, kind) or (kind is int and type(value) is bool):
+            raise _arg_error(name, expected, value, node)
+        return value
+
+    return want
 
 
-def _want_list(name: str, value: object, node: KispExpr) -> tuple:
-    if not isinstance(value, tuple):
-        raise _arg_error(name, "a list", value, node)
-    return value
-
-
-def _want_date(name: str, value: object, node: KispExpr) -> date:
-    if not isinstance(value, date):
-        raise _arg_error(name, "a date", value, node)
-    return value
-
-
-def _want_person(name: str, value: object, node: KispExpr) -> PersonRef:
-    if not isinstance(value, PersonRef):
-        raise _arg_error(name, "a person", value, node)
-    return value
-
-
-def _want_bool(name: str, value: object, node: KispExpr) -> bool:
-    if not isinstance(value, bool):
-        raise _arg_error(name, "a boolean", value, node)
-    return value
-
-
-def _want_str(name: str, value: object, node: KispExpr) -> str:
-    if not isinstance(value, str):
-        raise _arg_error(name, "a string", value, node)
-    return value
+_want_int = _wanting(int, "a numeral")
+_want_list = _wanting(tuple, "a list")
+_want_date = _wanting(date, "a date")
+_want_person = _wanting(PersonRef, "a person")
+_want_bool = _wanting(bool, "a boolean")
+_want_str = _wanting(str, "a string")
 
 
 def _dedup(values: Sequence[object]) -> tuple:
@@ -894,36 +933,26 @@ def _builtin_map(interp, args, node):
     return tuple(interp.apply(fn, [item], node) for item in lst)
 
 
-def _kin_builtin(
-    name: str, relation: Callable[[FamilyTree, str], Iterable[str]]
-) -> Builtin:
+def _kin_builtin(name: str, relation: Union[Atom, str]) -> Builtin:
     """A one-argument builtin mapping a person, or a list of persons, to the
-    related persons in tree order."""
+    persons ``tree.RELATIONS[relation]`` relates them to, in tree order."""
 
     def run(interp: Interpreter, args, node):
         tree = interp.require_tree(node)
         value = args[0]
         if isinstance(value, PersonRef):
-            people = [value]
+            ids = [value.id]
         elif isinstance(value, tuple):
-            people = [_want_person(name, v, node) for v in value]
+            ids = [_want_person(name, v, node).id for v in value]
         else:
             raise _arg_error(name, "a person or a list of persons", value, node)
-        ids: set[str] = set()
-        for ref in people:
-            if ref.id not in tree:
-                raise KispRuntimeError(
-                    f"unknown person {ref.id!r}", node.line, node.col
-                )
-            ids.update(relation(tree, ref.id))
-        ordered = sorted(ids, key=tree.index_of)
-        return tuple(PersonRef(pid) for pid in ordered)
+        for pid in ids:
+            if pid not in tree:
+                raise KispRuntimeError(f"unknown person {pid!r}", node.line, node.col)
+        refs, found = interp._person_refs, set(related(tree, relation, ids))
+        return tuple(refs[pid] for pid in sorted(found, key=tree.index_of))
 
     return Builtin(name, 1, 1, run)
-
-
-def _basic_relation(atom: Atom) -> Callable[[FamilyTree, str], frozenset[str]]:
-    return lambda tree, pid: basic_kin(tree, atom, pid)
 
 
 def _builtin_attr(interp, args, node):
@@ -944,10 +973,15 @@ def _builtin_attr(interp, args, node):
     raise KispRuntimeError(f"unknown attribute {key!r}", node.line, node.col)
 
 
+@functools.lru_cache(maxsize=256)  # dates are immutable; errors are not cached
+def _date_literal(text: str) -> date:
+    return parse_date(text)
+
+
 def _builtin_date(interp, args, node):
     text = _want_str("date", args[0], node)
     try:
-        return parse_date(text)
+        return _date_literal(text)
     except ValueError as exc:
         raise KispRuntimeError(str(exc), node.line, node.col) from None
 
@@ -995,9 +1029,9 @@ _BUILTINS = [
     Builtin("join", 1, None, _builtin_join),
     Builtin("filter", 2, 2, _builtin_filter),
     Builtin("map", 2, 2, _builtin_map),
-    _kin_builtin("children", lambda t, p: t.children_of(p)),
-    _kin_builtin("spouse", lambda t, p: t.spouses_of(p)),
-    *(_kin_builtin(atom.value, _basic_relation(atom)) for atom in Atom),
+    _kin_builtin("children", "children"),
+    _kin_builtin("spouse", "spouse"),
+    *(_kin_builtin(atom.value, atom) for atom in Atom),
     Builtin("attr", 2, 2, _builtin_attr),
     Builtin("date", 1, 1, _builtin_date),
     Builtin("before", 2, 2, _builtin_before),

@@ -131,11 +131,18 @@ def _lex(src: str) -> list[tuple[str, object, int]]:
     return tokens
 
 
+# Parentheses may nest this deep: text within it parses well inside
+# Python's recursion limit of 1000, even from a caller a few hundred frames
+# deep.  A deeper '(' fails as "term nested too deeply".
+MAX_NESTING = 150
+
+
 class _Parser:
     def __init__(self, tokens: list[tuple[str, object, int]], length: int):
         self.tokens = tokens
         self.pos = 0
         self.length = length
+        self.depth = 0  # open parentheses
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -193,26 +200,22 @@ class _Parser:
             return Basic(value)  # type: ignore[arg-type]
         if kind == "(":
             self.advance()
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise KinTermError("term nested too deeply", pos)
             term = self.fork()
             closing = self.peek()
             if closing is None or closing[0] != ")":
                 raise KinTermError("unbalanced parentheses: expected ')'", self.length if closing is None else closing[2])
             self.advance()
+            self.depth -= 1
             return term
         raise KinTermError(f"unexpected {kind!r}", pos)
 
 
 def parse_kin_term(src: str) -> KinTerm:
     """Parse kin-term notation into a term tree."""
-    parser = _Parser(_lex(src), len(src))
-    try:
-        return parser.parse()
-    except RecursionError:
-        # Nesting deeper than the Python stack fails at the token reached.
-        tok = parser.peek()
-        raise KinTermError(
-            "term nested too deeply", parser.length if tok is None else tok[2]
-        ) from None
+    return _Parser(_lex(src), len(src)).parse()
 
 
 def render(term: KinTerm) -> str:

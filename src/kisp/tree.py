@@ -21,7 +21,7 @@ import enum
 import json
 from dataclasses import dataclass
 from datetime import date
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Union
 
 from .temporal import parse_date
 from .terms import Atom
@@ -278,15 +278,32 @@ def validate_tree(tree: FamilyTree) -> list[ConstraintViolation]:
 
 
 # Each basic kinship atom follows one adjacency of ``FamilyTree`` and keeps
-# the related persons of one sex.
-RELATIONS: dict[Atom, tuple[str, Sex]] = {
+# the related persons of one sex; the KISP accessors "children" and
+# "spouse", which are not atoms, keep all of them.
+RELATIONS: dict[Union[Atom, str], tuple[str, Optional[Sex]]] = {
     Atom.FATHER: ("_parents", Sex.MALE),
     Atom.MOTHER: ("_parents", Sex.FEMALE),
     Atom.SON: ("_children", Sex.MALE),
     Atom.DAUGHTER: ("_children", Sex.FEMALE),
     Atom.HUSBAND: ("_spouses", Sex.MALE),
     Atom.WIFE: ("_spouses", Sex.FEMALE),
+    "children": ("_children", None),
+    "spouse": ("_spouses", None),
 }
+
+
+def related(tree: FamilyTree, relation: Union[Atom, str], person_ids: Iterable[str]) -> list[str]:
+    """``basic_kin`` without its checks, for callers that made them: whom a key
+    of ``RELATIONS`` relates to each of ``person_ids``, repeats kept."""
+    adjacency, sex = RELATIONS[relation]
+    persons, table = tree._persons, getattr(tree, adjacency)
+    # Plain loops: on Python 3.11 a comprehension's frame costs more.
+    found = []
+    for person_id in person_ids:
+        for pid in table[person_id]:
+            if sex is None or persons[pid].sex is sex:
+                found.append(pid)
+    return found
 
 
 def basic_kin(tree: FamilyTree, atom: Atom, person_id: str) -> frozenset[str]:
@@ -299,15 +316,7 @@ def basic_kin(tree: FamilyTree, atom: Atom, person_id: str) -> frozenset[str]:
     tree.person(person_id)
     if not isinstance(atom, Atom):
         raise ValueError(f"unknown kinship atom {atom!r}")
-    adjacency, sex = RELATIONS[atom]
-    persons = tree._persons
-    # A plain loop: the lists hold a few ids, and on Python 3.11 a
-    # comprehension's own frame costs more than the filtering.
-    related = []
-    for pid in getattr(tree, adjacency)[person_id]:
-        if persons[pid].sex is sex:
-            related.append(pid)
-    return frozenset(related)
+    return frozenset(related(tree, atom, (person_id,)))
 
 
 # --- tree file format --------------------------------------------------------

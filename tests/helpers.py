@@ -1,7 +1,8 @@
 """Shared test machinery: an independent brute-force evaluator for kin
 terms (built straight from the raw tree JSON, bypassing the library's
 tree and semantics code paths), a full-scan inverse oracle, random term
-generators, and the interpreter's original pairwise KISP equality."""
+generators, the interpreter's original pairwise KISP equality, and its
+original tree-walking evaluator."""
 
 from __future__ import annotations
 
@@ -9,7 +10,26 @@ import random
 from datetime import date
 from typing import Iterable, Sequence
 
-from kisp.interp import Builtin, Closure, PersonRef, Void
+from kisp.interp import (
+    MAX_DEPTH,
+    TOO_DEEP,
+    Application,
+    Builtin,
+    Closure,
+    Define,
+    If,
+    Interpreter,
+    KispExpr,
+    KispRuntimeError,
+    Lambda,
+    Literal,
+    PersonRef,
+    Reference,
+    ShortCircuit,
+    VOID,
+    Void,
+    type_name,
+)
 from kisp.semantics import eval_term
 from kisp.terms import Atom, Basic, Concat, Dual, Fork, Inverse, KinTerm, from_spine
 from kisp.tree import FamilyTree
@@ -198,3 +218,147 @@ def _dedup(values: Sequence[object]) -> tuple:
         if not any(kisp_equal(v, seen) for seen in out):
             out.append(v)
     return tuple(out)
+
+
+# --- reference KISP evaluator -----------------------------------------------------
+# The interpreter's tree-walking evaluator from before it analysed terms into
+# functions, kept as the reference for the analysed one: the same loop with
+# proper tail calls and the same depth count, over a chain of dictionary
+# frames whose last link is the interpreter's global frame.
+
+
+class ReferenceEnvironment:
+    __slots__ = ("bindings", "parent")
+
+    def __init__(self, parent=None, bindings=None):
+        self.bindings = {} if bindings is None else bindings
+        self.parent = parent
+
+    def lookup(self, name: str, node: KispExpr) -> object:
+        env = self
+        while env is not None:
+            if name in env.bindings:
+                return env.bindings[name]
+            env = env.parent
+        raise KispRuntimeError(f"unbound reference {name!r}", node.line, node.col)
+
+
+class ReferenceInterpreter(Interpreter):
+    """An interpreter that evaluates with the reference evaluator; its
+    builtins reach it through ``apply``."""
+
+    def eval_top(self, node: KispExpr) -> object:
+        try:
+            return self.eval_in(ReferenceEnvironment(None, self.globals.bindings), node)
+        except RecursionError:
+            raise KispRuntimeError(TOO_DEEP, node.line, node.col) from None
+
+    def eval_in(self, env: ReferenceEnvironment, node: KispExpr) -> object:
+        depth = self._depth
+        if depth >= MAX_DEPTH:
+            raise KispRuntimeError(TOO_DEEP, node.line, node.col)
+        self._depth = depth + 1
+        try:
+            while True:
+                kind = type(node)
+                if kind is Application:
+                    head = node.head
+                    kind = type(head)
+                    if kind is Reference:
+                        fn = env.lookup(head.name, head)
+                    elif kind is Literal:
+                        fn = head.value
+                    else:
+                        fn = self.eval_in(env, head)
+                    args = []
+                    for arg in node.args:
+                        kind = type(arg)
+                        if kind is Reference:
+                            args.append(env.lookup(arg.name, arg))
+                        elif kind is Literal:
+                            args.append(arg.value)
+                        else:
+                            args.append(self.eval_in(env, arg))
+                    kind = type(fn)
+                    if kind is Closure and len(args) == len(fn.params):
+                        env = ReferenceEnvironment(fn.env, dict(zip(fn.params, args)))
+                        node = fn.body
+                        continue
+                    if (
+                        kind is Builtin
+                        and fn.min_args <= len(args)
+                        and (fn.max_args is None or len(args) <= fn.max_args)
+                    ):
+                        return fn.fn(self, args, node)
+                    return self.apply(fn, args, node)  # raises the matching error
+                if kind is Reference:
+                    return env.lookup(node.name, node)
+                if kind is If:
+                    cond = self.eval_in(env, node.cond)
+                    if cond is True:
+                        node = node.then
+                    elif cond is False:
+                        node = node.otherwise
+                    else:
+                        self._require_bool(cond, node.cond)
+                    continue
+                if kind is Literal:
+                    return node.value
+                if kind is Lambda:
+                    return Closure(node.params, node.body, env)
+                if kind is ShortCircuit:
+                    stop = node.op == "or"
+                    for operand in node.operands:
+                        value = self.eval_in(env, operand)
+                        self._require_bool(value, operand)
+                        if value is stop:
+                            return stop
+                    return not stop
+                if kind is Define:
+                    value = self.eval_in(env, node.value)
+                    self.globals.bind(node.name, value)
+                    return VOID
+                raise AssertionError(f"unknown node {node!r}")
+        finally:
+            self._depth = depth
+
+    def apply(self, fn: object, args: list, node: KispExpr) -> object:
+        if type(fn) is Closure:
+            if len(args) != len(fn.params):
+                raise KispRuntimeError(
+                    f"function expects {len(fn.params)} argument(s), got {len(args)}",
+                    node.line,
+                    node.col,
+                )
+            env = ReferenceEnvironment(fn.env, dict(zip(fn.params, args)))
+            return self.eval_in(env, fn.body)
+        if type(fn) is Builtin:
+            if len(args) < fn.min_args or (fn.max_args is not None and len(args) > fn.max_args):
+                if fn.max_args == fn.min_args:
+                    wanted = str(fn.min_args)
+                elif fn.max_args is None:
+                    wanted = f"at least {fn.min_args}"
+                else:
+                    wanted = f"{fn.min_args}..{fn.max_args}"
+                raise KispRuntimeError(
+                    f"'{fn.name}' expects {wanted} argument(s), got {len(args)}",
+                    node.line,
+                    node.col,
+                )
+            return fn.fn(self, args, node)
+        raise KispRuntimeError(
+            f"cannot apply a {type_name(fn)} as a function", node.line, node.col
+        )
+
+
+def run_kisp(interp: Interpreter, src: str) -> tuple[list[str], object]:
+    """The lines a script prints, and then how it failed: None, or the
+    error's class, message, line and column."""
+    lines: list[str] = []
+    try:
+        for line in interp.output(src):
+            lines.append(line)
+    except Exception as exc:  # compared, whatever it is
+        return lines, (type(exc), getattr(exc, "message", str(exc)),
+                       getattr(exc, "line", None), getattr(exc, "col", None))
+    return lines, None

@@ -1,7 +1,7 @@
 from datetime import date
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kisp.interp import (
@@ -14,6 +14,8 @@ from kisp.interp import (
     Environment,
     Interpreter,
     KEYWORDS,
+    MAX_DEPTH,
+    MAX_NESTING,
     KispError,
     KispLexError,
     KispParseError,
@@ -598,3 +600,185 @@ def test_deep_programs_fail_as_kisp_errors(bare, src, error):
     with pytest.raises(error, match="nested too deeply"):
         bare.eval_text(src)
     assert bare.eval_text("(+ 1 2)") == 3
+
+
+# --- the analysed evaluator against the reference evaluator ------------------------
+
+PARAMS = ("x", "y", "z")
+# Globals a program may define, in an order that keeps definitions from
+# calling themselves: the value defined for one may refer only to the names
+# after it.  The last two rebind builtins.
+DEFINABLE = ("f", "g", "inc", "not")
+
+
+@st.composite
+def kisp_terms(draw, params: tuple = (), names: tuple = DEFINABLE, depth: int = 3):
+    """KISP source for one term: numerals, booleans, parameters of the
+    enclosing lambdas, globals (some unbound), ``if``, ``and``/``or``,
+    lambdas that capture and shadow parameters, builtins on the results,
+    ``filter``/``map``, and applications with any number of operands."""
+    leaves = ["numeral", "boolean", "global"] + ["param"] * (2 if params else 0)
+    kind = draw(st.sampled_from(leaves + (["if", "logic", "lambda", "call", "let", "builtin",
+                                           "list-op"] if depth > 0 else [])))
+    sub = lambda: draw(kisp_terms(params, names, depth - 1))  # noqa: E731
+    if kind == "numeral":
+        return str(draw(st.integers(-2, 3)))
+    if kind == "boolean":
+        return draw(st.sampled_from(["true", "false"]))
+    if kind == "param":
+        return draw(st.sampled_from(params))
+    if kind == "global":
+        return draw(st.sampled_from(names + ("+", "=", "unbound", "people", "void", "vacant")))
+    if kind == "if":
+        return f"(if {sub()} {sub()} {sub()})"
+    if kind == "logic":
+        op = draw(st.sampled_from(["and", "or"]))
+        return f"({op} {' '.join(sub() for _ in range(draw(st.integers(2, 3))))})"
+    if kind == "lambda":
+        new = tuple(draw(st.lists(st.sampled_from(PARAMS), max_size=2, unique=True)))
+        body = draw(kisp_terms(tuple(dict.fromkeys(params + new)), names, depth - 1))
+        return f"(lambda ({' '.join(new)}) {body})"
+    if kind == "call":
+        return f"({' '.join(sub() for _ in range(draw(st.integers(1, 3))))})"
+    if kind == "let":  # a lambda applied at once, so that its parameters shadow
+        new = tuple(draw(st.lists(st.sampled_from(PARAMS), min_size=1, max_size=2, unique=True)))
+        body = draw(kisp_terms(tuple(dict.fromkeys(params + new)), names, depth - 1))
+        return f"((lambda ({' '.join(new)}) {body}) {' '.join(sub() for _ in new)})"
+    if kind == "builtin":
+        name = draw(st.sampled_from(["inc", "not", "+", "-", "<", "=", "list", "count"]))
+        return f"({name} {' '.join(sub() for _ in range(draw(st.integers(1, 2))))})"
+    return f"({draw(st.sampled_from(['filter', 'map']))} {sub()} (list {sub()} {sub()}))"
+
+
+@st.composite
+def kisp_programs(draw):
+    """Top-level terms, among them defines that rebind a global, a builtin
+    too, after closures that use it were made."""
+    terms = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            i = draw(st.integers(0, len(DEFINABLE) - 1))
+            value = draw(kisp_terms(names=DEFINABLE[i + 1:]))
+            terms.append(f"(define {DEFINABLE[i]} {value})")
+        else:
+            terms.append(draw(kisp_terms(names=DEFINABLE)))
+    return "\n".join(terms)
+
+
+@settings(max_examples=400, deadline=2000)
+@given(kisp_programs())
+def test_analysed_evaluator_matches_reference(src):
+    # the same printed values, or the same error class, message and position
+    got = helpers.run_kisp(Interpreter(), src)
+    assert got == helpers.run_kisp(helpers.ReferenceInterpreter(), src)
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        SUM_DOWN + "(s 5000)",
+        "(define d (lambda (n) (if (= n 0) 0 (inc (d (- n 1))))))\n(d 298) (d 299) (d 300)",
+        "(define g (lambda (n) (+ 1 (if (= n 0) 0 (g (- n 1))))))\n(g 1000)",
+        "(define m (lambda (n) (if (= n 0) 0 (count (map m (list (- n 1)))))))\n(m 200)",
+        "(define a (lambda (n) (and (< 0 n) (or false (a (- n 1))))))\n(a 1000)",
+    ],
+    ids=["operand", "boundary", "if-operand", "through-map", "and-or"],
+)
+def test_depth_limit_matches_reference(src):
+    # the limit trips at the same term, in whatever way the recursion nests
+    got = helpers.run_kisp(Interpreter(), src)
+    assert got == helpers.run_kisp(helpers.ReferenceInterpreter(), src)
+    assert got[1] is not None and got[1][1] == "evaluation nested too deeply"
+
+
+def test_depth_limit_trips_before_the_python_stack_runs_out():
+    # a recursion such as SUM_DOWN takes two Python frames per level, so
+    # MAX_DEPTH trips first even under a caller a hundred frames deep
+    src = SUM_DOWN + "(s 5000)"
+    want = helpers.run_kisp(helpers.ReferenceInterpreter(), src)
+    assert _in_deep_stack(100, lambda: helpers.run_kisp(Interpreter(), src)) == want
+
+
+def test_inner_parameter_shadows_outer(bare):
+    assert run(bare, "((lambda (x) ((lambda (x) x) 2)) 1)") == 2
+    assert run(bare, "((lambda (x y) ((lambda (y) (- x y)) 10)) 1 2)") == -9
+    assert run(bare, "(((lambda (x) (lambda (y) (lambda (x) (list x y)))) 1) 2)") is not None
+    assert run(bare, "((((lambda (x) (lambda (y) (lambda (x) (list x y)))) 1) 2) 3)") == (3, 2)
+
+
+def test_builtin_applies_a_closure_to_many_items_at_one_depth(bare):
+    # each application by map starts at the depth map was called at
+    bare.globals.bind("xs", tuple(range(2 * MAX_DEPTH)))
+    assert run(bare, "(count (map (lambda (n) (inc (inc n))) xs))") == 2 * MAX_DEPTH
+    assert run(bare, "(count (filter (lambda (n) (< (inc n) 5)) xs))") == 4
+
+
+def test_closure_sees_a_builtin_rebound_after_it_was_made():
+    src = "(define f (lambda (x) (inc x)))\n(f 1)\n(define inc (lambda (x) (* x 10)))\n(f 1)"
+    got = helpers.run_kisp(Interpreter(), src)
+    assert got == helpers.run_kisp(helpers.ReferenceInterpreter(), src) == (["2", "10"], None)
+
+
+# --- late-bound globals, memoised dates, tail-call errors -----------------------
+
+
+def test_global_defined_after_the_closure_resolves_when_called(bare):
+    bare.eval_text("(define f (lambda (x) (+ x later)))")
+    with pytest.raises(KispRuntimeError, match="unbound reference 'later'") as exc:
+        bare.eval_text("(f 1)")
+    assert (exc.value.line, exc.value.col) == (1, 28)  # the reference itself
+    bare.eval_text("(define later 41)")
+    assert bare.eval_text("(f 1)") == 42
+
+
+def test_bad_date_in_a_filter_fails_on_every_run(interp):
+    src = "(count (filter (lambda (p) (before (date '31.02.1900') now)) people))"
+    for _ in range(2):  # a bad literal is never remembered as parsed
+        with pytest.raises(KispRuntimeError, match="bad date literal '31.02.1900'") as exc:
+            interp.eval_text(src)
+        assert (exc.value.line, exc.value.col) == (1, 36)
+    assert interp.eval_text(src.replace("31.02", "28.02")) == 8
+
+
+def test_arity_error_of_a_closure_called_in_tail_position(bare):
+    src = "(define f (lambda (x) x))\n(define g (lambda (y) (if true (f y y) 0)))\n(g 1)"
+    with pytest.raises(KispRuntimeError) as exc:
+        bare.eval_text(src)
+    assert exc.value.message == "function expects 1 argument(s), got 2"
+    assert (exc.value.line, exc.value.col) == (2, 32)
+
+
+# --- the nesting limit -------------------------------------------------------------
+
+
+def _in_deep_stack(frames, fn):
+    return fn() if frames == 0 else _in_deep_stack(frames - 1, fn)
+
+
+def _parse_error(src):
+    with pytest.raises(KispParseError, match="nested too deeply") as exc:
+        parse_program(src)
+    return exc.value.line, exc.value.col
+
+
+def test_nesting_limit_is_a_property_of_the_text():
+    src = "(+ 1 " * 5000 + "0" + ")" * 5000
+    position = (1, 5 * MAX_NESTING + 1)  # the first '(' past the limit
+    assert _parse_error(src) == position
+    assert _in_deep_stack(300, lambda: _parse_error(src)) == position
+
+
+@pytest.mark.parametrize("shape", ["(+ 1 {})", "(lambda (x) {})", "(if true {} 2)"])
+def test_text_at_the_nesting_limit_parses_and_evaluates(shape):
+    src = "0"
+    for _ in range(MAX_NESTING):
+        src = shape.format(src)
+    bare = Interpreter()
+
+    def evaluate():
+        (node,) = parse_program(src)
+        return bare.eval_top(node)
+
+    want = MAX_NESTING if shape.startswith("(+") else None
+    for result in (evaluate(), _in_deep_stack(300, evaluate)):
+        assert want is None or result == want

@@ -12,6 +12,7 @@ from kisp.terms import (
     Fork,
     Inverse,
     KinTermError,
+    MAX_NESTING,
     canonical,
     concat_count,
     contains_dual,
@@ -262,3 +263,25 @@ def test_contains_checks():
     assert not contains_inverse(parse_kin_term("son father"))
     assert contains_dual(parse_kin_term("son^+"))
     assert not contains_dual(parse_kin_term("son^-1"))
+
+
+def _in_deep_stack(frames, fn):
+    return fn() if frames == 0 else _in_deep_stack(frames - 1, fn)
+
+
+def test_nesting_limit_is_a_property_of_the_text():
+    src = "(" * 1200 + "father" + ")" * 1200
+
+    def position():
+        with pytest.raises(KinTermError, match="nested too deeply") as exc:
+            parse_kin_term(src)
+        return exc.value.position
+
+    assert position() == MAX_NESTING  # the first '(' past the limit
+    assert _in_deep_stack(300, position) == MAX_NESTING
+
+
+def test_text_at_the_nesting_limit_parses():
+    for src in ("(" * MAX_NESTING + "father" + ")" * MAX_NESTING,
+                "(father " * MAX_NESTING + "mother" + ")" * MAX_NESTING):
+        assert parse_kin_term(src) == _in_deep_stack(300, lambda: parse_kin_term(src))
