@@ -15,21 +15,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from datetime import date
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .interp import Interpreter, KispError
-from .reduction import DictionaryError, ReductionDictionary, ReductionError, shorten
-from .semantics import eval_term
-from .temporal import Timeline, parse_date
-from .terms import KinTermError, parse_kin_term
-from .tree import (
-    FamilyTree,
-    InvalidTreeError,
-    StructuralError,
-    UnknownPersonError,
-    load_tree,
-)
+# Each command imports only what it runs: ``reduce`` loads no tree, ``term`` no interpreter.
+if TYPE_CHECKING:
+    from datetime import date
+
+    from .interp import Interpreter
+    from .tree import FamilyTree
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -50,6 +43,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _now_flag(text: str) -> date:
+    from .temporal import parse_date
+
     try:
         return parse_date(text)
     except ValueError as exc:
@@ -106,6 +101,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     if not args.tree:
         print(f"kisp: the '{args.command}' command requires --tree", file=sys.stderr)
         return EXIT_USAGE
+    from .tree import StructuralError, UnknownPersonError, load_tree
+
     try:
         tree = load_tree(args.tree)
     except StructuralError as exc:
@@ -125,6 +122,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.command == "term":
         return _cmd_term(args, tree)
 
+    from .interp import Interpreter
+    from .temporal import Timeline
+
     timeline = Timeline(args.now) if args.now else Timeline.today()
     try:
         interp = Interpreter(tree, timeline, ego=args.ego)
@@ -138,7 +138,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         try:
             with open(args.script, encoding="utf-8") as fh:
                 source = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"kisp: cannot read script: {exc}", file=sys.stderr)
             return EXIT_FILE
         return _run_source(interp, source)
@@ -146,6 +146,9 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
+    from .reduction import DictionaryError, ReductionDictionary, ReductionError, shorten
+    from .terms import KinTermError, parse_kin_term
+
     try:
         if args.dict:
             dictionary = ReductionDictionary.load(args.dict)
@@ -164,6 +167,10 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_term(args: argparse.Namespace, tree: FamilyTree) -> int:
+    from .semantics import eval_term
+    from .terms import KinTermError, parse_kin_term
+    from .tree import UnknownPersonError
+
     try:
         term = parse_kin_term(args.term)
     except KinTermError as exc:
@@ -183,6 +190,8 @@ def _cmd_term(args: argparse.Namespace, tree: FamilyTree) -> int:
 def _run_source(interp: Interpreter, source: str, repl: bool = False) -> int:
     """Print the program's output line by line.  A parse error prints
     nothing; an evaluation error leaves the values before it printed."""
+    from .interp import KispError
+
     try:
         for line in interp.output(source, repl):
             print(line, flush=True)

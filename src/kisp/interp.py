@@ -238,11 +238,6 @@ class Builtin:
     fn: Callable[["Interpreter", list, KispExpr], object]
 
 
-KispValue = Union[
-    bool, int, str, Void, tuple, PersonRef, date, Closure, Builtin
-]
-
-
 # --- parser ------------------------------------------------------------------
 
 

@@ -159,7 +159,7 @@ class ReductionDictionary:
         try:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise DictionaryError(f"cannot read dictionary file: {exc}") from exc
         return cls.parse(text)
 

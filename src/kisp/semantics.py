@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .terms import Basic, Concat, Fork, Inverse, KinTerm, push_dual
-from .tree import FamilyTree, basic_kin
+from .tree import FamilyTree, related
 
 PersonSet = frozenset[str]
 
@@ -28,10 +28,7 @@ def eval_term(tree: FamilyTree, term: KinTerm, people: Iterable[str]) -> PersonS
 
 def _eval(tree: FamilyTree, term: KinTerm, people: PersonSet) -> PersonSet:
     if isinstance(term, Basic):
-        out: set[str] = set()
-        for pid in people:
-            out |= basic_kin(tree, term.atom, pid)
-        return frozenset(out)
+        return frozenset(related(tree, term.atom, people))
     if isinstance(term, Concat):
         return _eval(tree, term.left, _eval(tree, term.right, people))
     if isinstance(term, Fork):

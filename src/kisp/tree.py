@@ -56,9 +56,6 @@ class MaritalBond:
     b: str
     wedding: date
 
-    def pair(self) -> frozenset[str]:
-        return frozenset((self.a, self.b))
-
 
 @dataclass(frozen=True)
 class ConstraintViolation:
@@ -114,38 +111,33 @@ class FamilyTree:
         self._marital: tuple[MaritalBond, ...] = tuple(marital_bonds)
         self._order = {pid: i for i, pid in enumerate(self._persons)}
 
-        seen_parental: set[ParentalBond] = set()
-        for bond in self._parental:
-            for pid in (bond.parent, bond.child):
-                if pid not in self._persons:
-                    raise StructuralError(f"parental bond references unknown person {pid!r}")
-            if bond.parent == bond.child:
-                raise StructuralError(f"person {bond.parent!r} cannot be their own parent")
-            if bond in seen_parental:
-                raise StructuralError(f"duplicate parental bond {bond.parent!r} -> {bond.child!r}")
-            seen_parental.add(bond)
-
-        seen_marital: set[frozenset[str]] = set()
-        for mbond in self._marital:
-            for pid in (mbond.a, mbond.b):
-                if pid not in self._persons:
-                    raise StructuralError(f"marital bond references unknown person {pid!r}")
-            if mbond.a == mbond.b:
-                raise StructuralError(f"person {mbond.a!r} cannot marry themselves")
-            if mbond.pair() in seen_marital:
-                raise StructuralError(f"duplicate marital bond between {mbond.a!r} and {mbond.b!r}")
-            seen_marital.add(mbond.pair())
-
-        # adjacency, in bond order
+        # Adjacency in bond order; each bond is checked as it is appended, and
+        # a repeated bond is already in its person's list.
         self._parents: dict[str, list[str]] = {pid: [] for pid in self._persons}
         self._children: dict[str, list[str]] = {pid: [] for pid in self._persons}
         for bond in self._parental:
-            self._parents[bond.child].append(bond.parent)
-            self._children[bond.parent].append(bond.child)
+            parent, child = bond.parent, bond.child
+            for pid in (parent, child):
+                if pid not in self._persons:
+                    raise StructuralError(f"parental bond references unknown person {pid!r}")
+            if parent == child:
+                raise StructuralError(f"person {parent!r} cannot be their own parent")
+            if parent in self._parents[child]:
+                raise StructuralError(f"duplicate parental bond {parent!r} -> {child!r}")
+            self._parents[child].append(parent)
+            self._children[parent].append(child)
         self._spouses: dict[str, list[str]] = {pid: [] for pid in self._persons}
         for mbond in self._marital:
-            self._spouses[mbond.a].append(mbond.b)
-            self._spouses[mbond.b].append(mbond.a)
+            a, b = mbond.a, mbond.b
+            for pid in (a, b):
+                if pid not in self._persons:
+                    raise StructuralError(f"marital bond references unknown person {pid!r}")
+            if a == b:
+                raise StructuralError(f"person {a!r} cannot marry themselves")
+            if b in self._spouses[a]:
+                raise StructuralError(f"duplicate marital bond between {a!r} and {b!r}")
+            self._spouses[a].append(b)
+            self._spouses[b].append(a)
 
         self._violations = tuple(self._check_constraints())
 
@@ -365,7 +357,7 @@ def load_tree(path: str) -> FamilyTree:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise StructuralError(f"cannot read tree file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise StructuralError(f"tree file is not valid JSON: {exc}") from exc
@@ -378,22 +370,23 @@ def _parse_person(entry: object) -> Person:
     if not isinstance(entry, dict):
         raise StructuralError("each person must be an object")
     pid = _require_str(entry, "id", "person")
-    name = _require_str(entry, "name", f"person {pid!r}")
-    sex_text = _require_str(entry, "sex", f"person {pid!r}")
+    label = f"person {pid!r}"
+    name = _require_str(entry, "name", label)
+    sex_text = _require_str(entry, "sex", label)
     try:
         sex = Sex(sex_text)
     except ValueError:
         raise StructuralError(
-            f"person {pid!r}: sex must be 'MALE' or 'FEMALE', got {sex_text!r}"
+            f"{label}: sex must be 'MALE' or 'FEMALE', got {sex_text!r}"
         ) from None
-    birth_text = _require_str(entry, "birthdate", f"person {pid!r}")
+    birth_text = _require_str(entry, "birthdate", label)
     try:
         birth = parse_date(birth_text)
     except ValueError as exc:
-        raise StructuralError(f"person {pid!r}: {exc}") from None
+        raise StructuralError(f"{label}: {exc}") from None
     birthplace = entry.get("birthplace")
     if birthplace is not None and not isinstance(birthplace, str):
-        raise StructuralError(f"person {pid!r}: birthplace must be text")
+        raise StructuralError(f"{label}: birthplace must be text")
     return Person(pid, name, sex, birth, birthplace)
 
 

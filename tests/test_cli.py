@@ -125,6 +125,15 @@ def test_run_missing_script(capsys, tmp_path):
     assert "cannot read script" in err
 
 
+def test_run_non_utf8_script_is_file_error(capsys, tmp_path):
+    script = tmp_path / "latin1.kisp"
+    script.write_bytes(b"(+ 1 2) ; caf\xe9\n")
+    code, out, err = kisp(capsys, "--tree", TREE, "run", str(script))
+    assert (code, out) == (2, "")
+    assert "cannot read script" in err
+    assert "Traceback" not in err
+
+
 # --- validate ----------------------------------------------------------------
 
 
@@ -181,6 +190,15 @@ def test_deeply_nested_tree_is_file_error(capsys, tmp_path):
     code, out, err = kisp(capsys, "--tree", str(path), "validate")
     assert (code, out) == (2, "")
     assert "nested too deeply" in err
+    assert "Traceback" not in err
+
+
+def test_non_utf8_tree_is_file_error(capsys, tmp_path):
+    path = tmp_path / "latin1.tree"
+    path.write_bytes(SMITH_PATH.read_bytes().replace(b'"Eli', b'"\xc9li'))
+    code, out, err = kisp(capsys, "--tree", str(path), "validate")
+    assert (code, out) == (2, "")
+    assert "cannot read tree file" in err
     assert "Traceback" not in err
 
 
@@ -270,6 +288,15 @@ def test_reduce_dictionary_nested_too_deeply_is_file_error(capsys, tmp_path):
     code, out, err = kisp(capsys, "--dict", str(path), "reduce", "son (father | mother)")
     assert (code, out) == (2, "")
     assert "line 1: term nested too deeply" in err
+    assert "Traceback" not in err
+
+
+def test_reduce_non_utf8_dictionary_is_file_error(capsys, tmp_path):
+    path = tmp_path / "latin1.dict"
+    path.write_bytes(b"son . (father | mother) => fr\xe8re\n")
+    code, out, err = kisp(capsys, "--dict", str(path), "reduce", "son (father | mother)")
+    assert (code, out) == (2, "")
+    assert "cannot read dictionary file" in err
     assert "Traceback" not in err
 
 

@@ -277,3 +277,37 @@ def test_siblings_of(smith_tree):
     assert set(smith_tree.siblings_of("eli")) == {"fay"}
     assert set(smith_tree.siblings_of("bob")) == {"carl"}
     assert smith_tree.siblings_of("adam") == ()
+
+
+def test_structural_error_messages_and_precedence():
+    a, b = person("a", "MALE", "01.01.1950"), person("b", "FEMALE", "01.01.1952")
+    wed = parse_date("01.01.1990")
+    cases = [
+        (([a, a], [], []), "duplicate person id 'a'"),
+        (([a], [ParentalBond("a", "ghost")], []),
+         "parental bond references unknown person 'ghost'"),
+        (([a], [], [MaritalBond("ghost", "a", wed)]),
+         "marital bond references unknown person 'ghost'"),
+        (([a], [ParentalBond("a", "a")], []), "person 'a' cannot be their own parent"),
+        (([a], [], [MaritalBond("a", "a", wed)]), "person 'a' cannot marry themselves"),
+        (([a, b], [ParentalBond("a", "b"), ParentalBond("a", "b")], []),
+         "duplicate parental bond 'a' -> 'b'"),
+        (([a, b], [], [MaritalBond("a", "b", wed), MaritalBond("a", "b", wed)]),
+         "duplicate marital bond between 'a' and 'b'"),
+        (([a, b], [], [MaritalBond("a", "b", wed), MaritalBond("b", "a", wed)]),
+         "duplicate marital bond between 'b' and 'a'"),
+        # precedence: persons, then every parental bond, then marital bonds;
+        # within a bond, unknown ids, then a self-bond, then a repeat
+        (([a, a], [ParentalBond("a", "ghost")], []), "duplicate person id 'a'"),
+        (([a], [ParentalBond("ghost", "ghost")], []),
+         "parental bond references unknown person 'ghost'"),
+        (([a, b], [ParentalBond("a", "b"), ParentalBond("b", "b")],
+          [MaritalBond("a", "ghost", wed)]),
+         "person 'b' cannot be their own parent"),
+        (([a, b], [ParentalBond("a", "b"), ParentalBond("a", "b"), ParentalBond("a", "x")], []),
+         "duplicate parental bond 'a' -> 'b'"),
+    ]
+    for (persons, parental, marital), message in cases:
+        with pytest.raises(StructuralError) as caught:
+            FamilyTree(persons, parental, marital)
+        assert str(caught.value) == message
