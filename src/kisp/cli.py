@@ -181,7 +181,11 @@ def _cmd_term(args: argparse.Namespace, tree: FamilyTree) -> int:
     except UnknownPersonError as exc:
         print(f"kisp: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    result = eval_term(tree, term, (args.person,))
+    try:
+        result = eval_term(tree, term, (args.person,))
+    except RecursionError:  # the term operations recurse once per node
+        print("kisp: kin term too long or nested too deeply", file=sys.stderr)
+        return EXIT_EVAL
     for pid in sorted(result):
         print(pid)
     return EXIT_OK

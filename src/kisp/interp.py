@@ -26,7 +26,7 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 from . import temporal
 from .temporal import Timeline, format_date, parse_date
 from .terms import Atom
-from .tree import FamilyTree, related
+from .tree import FamilyTree, UnknownPersonError, related
 
 KEYWORDS = frozenset(
     {"true", "false", "define", "lambda", "people", "now", "void", "if", "vacant"}
@@ -235,7 +235,7 @@ class Builtin:
     name: str
     min_args: int
     max_args: Optional[int]  # None = variadic
-    fn: Callable[["Interpreter", list, KispExpr], object]
+    fn: Callable[["Interpreter", Sequence, KispExpr], object]
 
 
 # --- parser ------------------------------------------------------------------
@@ -471,8 +471,14 @@ def value_key(value: object) -> object:
     return value
 
 
+_SCALARS = frozenset({str, int, bool, date})  # equal exactly when Python's == says so
+
+
 def kisp_equal(a: object, b: object) -> bool:
     """Structural equality; values of different types are unequal."""
+    kind = type(a)
+    if kind is type(b) and kind in _SCALARS:
+        return a == b
     return value_key(a) == value_key(b)
 
 
@@ -621,10 +627,12 @@ class Interpreter:
 
             return checked
         if kind is Application:  # a leaf operand is read in place
-            head, *args = [
-                self._leaf(a, scope) if type(a) in _LEAVES else self._analyse(a, scope, j + 1)
-                for a in (node.head, *node.args)
-            ]
+            codes = []  # a loop: a comprehension's frame costs more on Python 3.11
+            for a in (node.head, *node.args):
+                codes.append(
+                    self._leaf(a, scope) if type(a) in _LEAVES else self._analyse(a, scope, j + 1)
+                )
+            head, *args = codes
             a0, a1, a2 = (*args, None, None, None)[:3]
 
             def application(frame, level, head=head, a0=a0, a1=a1, a2=a2, args=args,
@@ -632,14 +640,14 @@ class Interpreter:
                 if level >= limit:
                     raise KispRuntimeError(TOO_DEEP, node.line, node.col)
                 fn = head(frame, level)
-                if arity == 1:  # short lists without a comprehension's frame
-                    values = [a0(frame, level)]
+                if arity == 1:  # short tuples without a comprehension's frame
+                    values = (a0(frame, level),)
                 elif arity == 2:
-                    values = [a0(frame, level), a1(frame, level)]
+                    values = (a0(frame, level), a1(frame, level))
                 elif arity == 3:
-                    values = [a0(frame, level), a1(frame, level), a2(frame, level)]
+                    values = (a0(frame, level), a1(frame, level), a2(frame, level))
                 else:
-                    values = [arg(frame, level) for arg in args]
+                    values = tuple([arg(frame, level) for arg in args])
                 kind = type(fn)
                 if kind is Builtin and fn.min_args <= arity and (
                     fn.max_args is None or arity <= fn.max_args
@@ -651,8 +659,8 @@ class Interpreter:
                 if tail:
                     return _TailCall(fn, values)
                 level += j
-                while True:  # the trampoline, as in apply
-                    frame = (*fn.env, *values)
+                while True:  # the trampoline, as in caller
+                    frame = fn.env + values
                     result = fn.code(frame, level)
                     while type(result) is _Code:
                         result = result(frame, level)
@@ -660,7 +668,28 @@ class Interpreter:
                         return result
                     fn, values = result
 
-            return application
+            if type(node.head) is not Reference or node.head.name in scope:
+                return application
+            for arg in node.args:
+                if type(arg) is not Literal:
+                    return application
+
+            def folded(frame, level, bindings=self.globals.bindings, name=node.head.name,
+                       application=application, kept=[None, None], limit=limit, node=node):
+                # a global applied to literals: a pure builtin's value is kept
+                # with the builtin it came from, and used while the name is
+                # bound to that builtin; an error is never kept
+                if level >= limit:
+                    raise KispRuntimeError(TOO_DEEP, node.line, node.col)
+                fn = bindings.get(name)
+                if fn is kept[0] and fn is not None:
+                    return kept[1]
+                value = application(frame, level)
+                if type(fn) is Builtin and fn.name in _PURE_BUILTINS:
+                    kept[:] = fn, value
+                return value
+
+            return folded
         if kind is If:
             cond = self._analyse(node.cond, scope, j + 1)
             then = self._analyse(node.then, scope, j, tail)
@@ -729,24 +758,36 @@ class Interpreter:
 
         return global_
 
-    def apply(self, fn: object, args: list, node: KispExpr) -> object:
-        """Apply a function value to evaluated arguments (the entry point
-        for builtins that call functions, such as ``filter``)."""
-        if type(fn) is Closure and len(args) == len(fn.params):
+    def apply(self, fn: object, args: Sequence, node: KispExpr) -> object:
+        """Apply a function value to evaluated arguments."""
+        return self.caller(fn, len(args), node)(*args)
+
+    def caller(self, fn: object, n: int, node: KispExpr) -> Callable:
+        """Check once that ``fn`` applies to ``n`` arguments here, and return
+        a function that applies it: ``caller(fn, n, node)(*args)`` is
+        ``apply(fn, args, node)``.  Builtins that call a function on every
+        item of a list, such as ``filter``, ask once per list."""
+        if type(fn) is Closure and n == len(fn.params):
+            if fn.code is None:  # made by another evaluator, whose apply runs it
+                return lambda *args: self.apply(fn, args, node)
             depth = self._depth
             if depth >= MAX_DEPTH:
                 raise KispRuntimeError(TOO_DEEP, fn.body.line, fn.body.col)
             level = depth + 1
-            while True:  # the trampoline: jumps to branches, tail calls
-                frame = (*fn.env, *args)
-                result = fn.code(frame, level)  # type: ignore[misc]
-                while type(result) is _Code:
-                    result = result(frame, level)
-                if type(result) is not _TailCall:
-                    self._depth = depth  # the builtin may apply again
-                    return result
-                fn, args = result
-        n, line, col = len(args), node.line, node.col  # type: ignore[attr-defined]
+
+            def call(*args, fn=fn):
+                while True:  # the trampoline: jumps to branches, tail calls
+                    frame = fn.env + args
+                    result = fn.code(frame, level)
+                    while type(result) is _Code:
+                        result = result(frame, level)
+                    if type(result) is not _TailCall:
+                        self._depth = depth  # the builtin may call again
+                        return result
+                    fn, args = result
+
+            return call
+        line, col = node.line, node.col  # type: ignore[attr-defined]
         if type(fn) is Closure:
             raise KispRuntimeError(
                 f"function expects {len(fn.params)} argument(s), got {n}", line, col
@@ -754,7 +795,7 @@ class Interpreter:
         if type(fn) is not Builtin:
             raise KispRuntimeError(f"cannot apply a {type_name(fn)} as a function", line, col)
         if fn.min_args <= n and (fn.max_args is None or n <= fn.max_args):
-            return fn.fn(self, args, node)
+            return lambda *args: fn.fn(self, args, node)
         wanted = (
             str(fn.min_args) if fn.max_args == fn.min_args
             else f"at least {fn.min_args}" if fn.max_args is None
@@ -831,6 +872,8 @@ def _wanting(kind: type, expected: str) -> Callable[[str, object, KispExpr], obj
     """A check that a builtin's argument is of ``kind``; booleans are no numerals."""
 
     def want(name: str, value: object, node: KispExpr) -> object:
+        if type(value) is kind:
+            return value
         if not isinstance(value, kind) or (kind is int and type(value) is bool):
             raise _arg_error(name, expected, value, node)
         return value
@@ -913,19 +956,21 @@ def _builtin_join(interp, args, node):
 
 def _builtin_filter(interp, args, node):
     fn, lst = args[0], _want_list("filter", args[1], node)
-    out = []
+    if not lst:  # fn is checked only when it is applied
+        return lst
+    predicate, out = interp.caller(fn, 1, node), []
     for item in lst:
-        keep = interp.apply(fn, [item], node)
-        if not isinstance(keep, bool):
-            raise _arg_error("filter", "a boolean from its predicate", keep, node)
-        if keep:
+        keep = predicate(item)
+        if keep is True:
             out.append(item)
+        elif keep is not False:
+            raise _arg_error("filter", "a boolean from its predicate", keep, node)
     return tuple(out)
 
 
 def _builtin_map(interp, args, node):
     fn, lst = args[0], _want_list("map", args[1], node)
-    return tuple(interp.apply(fn, [item], node) for item in lst)
+    return tuple(map(interp.caller(fn, 1, node), lst)) if lst else lst
 
 
 def _kin_builtin(name: str, relation: Union[Atom, str]) -> Builtin:
@@ -953,16 +998,16 @@ def _kin_builtin(name: str, relation: Union[Atom, str]) -> Builtin:
 def _builtin_attr(interp, args, node):
     person = _want_person("attr", args[0], node)
     key = _want_str("attr", args[1], node)
-    tree = interp.require_tree(node)
-    if person.id not in tree:
-        raise KispRuntimeError(f"unknown person {person.id!r}", node.line, node.col)
-    record = tree.person(person.id)
-    if key == "name":
-        return record.name
-    if key == "sex":
-        return record.sex.value
+    try:
+        record = interp.require_tree(node).person(person.id)
+    except UnknownPersonError:
+        raise KispRuntimeError(f"unknown person {person.id!r}", node.line, node.col) from None
     if key == "birthdate":
         return record.birthdate
+    if key == "sex":
+        return record.sex._value_  # the member's text, without the Python-level .value
+    if key == "name":
+        return record.name
     if key == "birthplace":
         return record.birthplace if record.birthplace is not None else VOID
     raise KispRuntimeError(f"unknown attribute {key!r}", node.line, node.col)
@@ -1009,6 +1054,12 @@ def _builtin_future(interp, args, node):
     return temporal.future(interp.timeline, _want_date("future", args[0], node))
 
 
+# Builtins whose value depends on their arguments alone, so that an
+# application of one to literals is computed once (see ``_analyse``).  By
+# name, so that a builtin wrapped in a new ``Builtin`` keeps its purity.
+_PURE_BUILTINS = frozenset(
+    {"date", "+", "-", "*", "<", "=", "inc", "not", "list", "concat", "before", "after", "during"}
+)
 _BUILTINS = [
     Builtin("+", 2, None, _builtin_add),
     Builtin("-", 2, 2, _builtin_sub),

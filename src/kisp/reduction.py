@@ -18,9 +18,10 @@ Dictionary file format, one entry per line (``#`` starts a comment):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from .terms import (
     KinTerm,
@@ -52,6 +53,21 @@ class UnknownWordError(ReductionError):
 
 class SearchBudgetError(ReductionError):
     """The exhaustive oracle exceeded its node budget."""
+
+
+def _stack_bounded(fn: Callable) -> Callable:
+    """``fn`` with running out of Python stack turned into a ReductionError.
+    The term operations recurse once per node, so a term of about a thousand
+    factors, or nested as deep, exhausts the stack."""
+
+    @functools.wraps(fn)
+    def bounded(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except RecursionError:
+            raise ReductionError("kin term too long or nested too deeply") from None
+
+    return bounded
 
 
 @dataclass(frozen=True)
@@ -176,6 +192,7 @@ def _normalize(term: KinTerm) -> KinTerm:
     return push_dual(term) if contains_dual(term) else term
 
 
+@_stack_bounded
 def shorten(dictionary: ReductionDictionary, term: KinTerm) -> ReducedTerm:
     """Greedy reduction: longest matching spine window, leftmost on ties,
     then recurse into what remains on either side."""
@@ -215,6 +232,7 @@ def _shorten(
     )
 
 
+@_stack_bounded
 def expand(dictionary: ReductionDictionary, reduced: ReducedTerm) -> KinTerm:
     """Substitute every English word by its pattern and re-concatenate."""
     if not reduced.segments:
@@ -228,6 +246,7 @@ def expand(dictionary: ReductionDictionary, reduced: ReducedTerm) -> KinTerm:
     return from_spine(parts)
 
 
+@_stack_bounded
 def optimal_shorten(
     dictionary: ReductionDictionary,
     term: KinTerm,

@@ -29,6 +29,11 @@ class Atom(enum.Enum):
     HUSBAND = "husband"
     WIFE = "wife"
 
+    # Members are singletons compared by identity, so they hash by identity
+    # too, in C: ``Enum.__hash__`` is a Python call on every lookup of an
+    # atom in a table such as ``tree.RELATIONS``.
+    __hash__ = object.__hash__
+
     @property
     def opposite(self) -> "Atom":
         """The same relation with the sexes swapped."""

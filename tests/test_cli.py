@@ -237,6 +237,36 @@ def test_term_nested_too_deeply_is_eval_error(capsys):
     assert "Traceback" not in err
 
 
+def _chain(factors):
+    return " ".join(["son", "(father | mother)", "daughter", "wife"] * (factors // 4))
+
+
+# Terms that parse but that the term operations, which recurse once per node,
+# cannot walk on the Python stack: each is an evaluation error, not a crash.
+LONG_TERMS = [
+    ("reduce", _chain(1024)),
+    ("reduce", "son" + "^+" * 3000),
+    ("reduce", " | ".join(["son", "daughter"] * 1500)),
+    ("term", _chain(3000)),
+    ("term", "son^-1" + "^+" * 5000),
+    ("term", " | ".join(["son", "daughter"] * 2500)),
+    ("term", "(son" + "^-1" * 5000 + ")"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, term", LONG_TERMS,
+    ids=["reduce-chain-1024", "reduce-dual-3000", "reduce-fork-3000", "term-chain-3000",
+         "term-dual-5000", "term-fork-5000", "term-inverse-5000"],
+)
+def test_long_term_is_eval_error(capsys, command, term):
+    argv = ["reduce", term] if command == "reduce" else ["--tree", TREE, "term", term, "eli"]
+    code, out, err = kisp(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert err == "kisp: kin term too long or nested too deeply\n"
+    assert "Traceback" not in err
+
+
 # --- reduce ---------------------------------------------------------------------
 
 

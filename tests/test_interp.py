@@ -607,8 +607,11 @@ def test_deep_programs_fail_as_kisp_errors(bare, src, error):
 PARAMS = ("x", "y", "z")
 # Globals a program may define, in an order that keeps definitions from
 # calling themselves: the value defined for one may refer only to the names
-# after it.  The last two rebind builtins.
-DEFINABLE = ("f", "g", "inc", "not")
+# after it.  The last four rebind builtins.
+DEFINABLE = ("f", "g", "inc", "not", "date", "+")
+PURE = ("date", "+", "-", "*", "<", "=", "inc", "not", "list", "concat", "before", "after",
+        "during")
+LITERALS = ("0", "2", "-1", "true", "void", "vacant", "'a'", "'01.01.1900'", "'31.02.1900'")
 
 
 @st.composite
@@ -616,8 +619,9 @@ def kisp_terms(draw, params: tuple = (), names: tuple = DEFINABLE, depth: int = 
     """KISP source for one term: numerals, booleans, parameters of the
     enclosing lambdas, globals (some unbound), ``if``, ``and``/``or``,
     lambdas that capture and shadow parameters, builtins on the results,
-    ``filter``/``map``, and applications with any number of operands."""
-    leaves = ["numeral", "boolean", "global"] + ["param"] * (2 if params else 0)
+    ``filter``/``map``, applications with any number of operands, and pure
+    builtins applied to literals only."""
+    leaves = ["numeral", "boolean", "global", "pure"] + ["param"] * (2 if params else 0)
     kind = draw(st.sampled_from(leaves + (["if", "logic", "lambda", "call", "let", "builtin",
                                            "list-op"] if depth > 0 else [])))
     sub = lambda: draw(kisp_terms(params, names, depth - 1))  # noqa: E731
@@ -627,6 +631,9 @@ def kisp_terms(draw, params: tuple = (), names: tuple = DEFINABLE, depth: int = 
         return draw(st.sampled_from(["true", "false"]))
     if kind == "param":
         return draw(st.sampled_from(params))
+    if kind == "pure":  # folded while the name stays bound to its builtin
+        literals = draw(st.lists(st.sampled_from(LITERALS), max_size=3))
+        return f"({' '.join((draw(st.sampled_from(PURE)), *literals))})"
     if kind == "global":
         return draw(st.sampled_from(names + ("+", "=", "unbound", "people", "void", "vacant")))
     if kind == "if":
@@ -653,15 +660,20 @@ def kisp_terms(draw, params: tuple = (), names: tuple = DEFINABLE, depth: int = 
 @st.composite
 def kisp_programs(draw):
     """Top-level terms, among them defines that rebind a global, a builtin
-    too, after closures that use it were made."""
+    too, after closures that use it were made, and calls of those closures
+    before and after."""
     terms = []
-    for _ in range(draw(st.integers(1, 5))):
-        if draw(st.booleans()):
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["define", "term", "call"]))
+        if kind == "define":
             i = draw(st.integers(0, len(DEFINABLE) - 1))
             value = draw(kisp_terms(names=DEFINABLE[i + 1:]))
             terms.append(f"(define {DEFINABLE[i]} {value})")
-        else:
+        elif kind == "term":
             terms.append(draw(kisp_terms(names=DEFINABLE)))
+        else:
+            literals = draw(st.lists(st.sampled_from(LITERALS), max_size=2))
+            terms.append(f"({' '.join((draw(st.sampled_from(('f', 'g'))), *literals))})")
     return "\n".join(terms)
 
 
@@ -746,6 +758,133 @@ def test_arity_error_of_a_closure_called_in_tail_position(bare):
         bare.eval_text(src)
     assert exc.value.message == "function expects 1 argument(s), got 2"
     assert (exc.value.line, exc.value.col) == (2, 32)
+
+
+# --- pure builtins folded on literals, filter/map through one caller ----------------
+
+
+def _count_calls(interp, name):
+    """Rebind builtin ``name`` to a new ``Builtin`` of the same name that
+    records each call, the way a tracer wraps the builtins."""
+    builtin = interp.globals.bindings[name]
+    calls = []
+
+    def fn(i, args, node):
+        calls.append(tuple(args))
+        return builtin.fn(i, args, node)
+
+    interp.globals.bind(name, Builtin(builtin.name, builtin.min_args, builtin.max_args, fn))
+    return calls
+
+
+def test_pure_builtin_on_literals_runs_once_per_binding(interp):
+    calls = _count_calls(interp, "date")
+    interp.eval_text("(define young (lambda (p) (after (attr p 'birthdate') (date '01.01.1965'))))")
+    for _ in range(2):  # once for all eight persons, and kept across terms
+        assert run(interp, "(count (filter young people))") == 5
+        assert calls == [("01.01.1965",)]
+    interp.eval_text("(define real-date date)\n(define date (lambda (t) (real-date '01.01.1990')))")
+    assert run(interp, "(count (filter young people))") == 3  # the next call sees it
+    assert calls[1:] == [("01.01.1990",)]  # the literal in the new closure, once
+    interp.eval_text("(define date real-date)")
+    assert run(interp, "(count (filter young people))") == 5
+    assert len(calls) == 2  # the same builtin again: its kept value
+
+
+def test_pure_name_rebound_to_another_builtin():
+    src = ("(define date +)\n(define f (lambda () (list (date 2 5) (inc 1))))\n(f)\n"
+           "(define date *)\n(f)\n(define inc -)\n(f)")
+    got = helpers.run_kisp(Interpreter(), src)
+    assert got == helpers.run_kisp(helpers.ReferenceInterpreter(), src)
+    assert got[0] == ["(7 2)", "(10 2)"]
+    assert got[1][1:] == ("'-' expects 2 argument(s), got 1", 2, 39)
+
+
+def test_redefined_builtins_reach_closures_made_before():
+    src = ("(define f (lambda () (list (+ 1 2) (= 1 1) (date '01.01.1900'))))\n(f)\n"
+           "(define + (lambda (a b) (* a b)))\n(define = (lambda (a b) false))\n"
+           "(define date (lambda (t) t))\n(f)")
+    got = helpers.run_kisp(Interpreter(), src)
+    assert got == helpers.run_kisp(helpers.ReferenceInterpreter(), src)
+    assert got == (["(3 true 01.01.1900)", "(2 false '01.01.1900')"], None)
+
+
+def test_redefined_list_builtins_reach_closures_made_before(smith_tree):
+    src = ("(define sexes (lambda () (map (lambda (p) (attr p 'sex')) people)))\n"
+           "(define men (lambda () (count (filter (lambda (s) (= s 'MALE')) (sexes)))))\n"
+           "(men)\n(define attr (lambda (p k) 'MALE'))\n(men)\n"
+           "(define map (lambda (f xs) (list (f 1))))\n(men)\n"
+           "(define filter (lambda (f xs) vacant))\n(men)")
+    timeline = Timeline(parse_date("01.01.2000"))
+    got = helpers.run_kisp(Interpreter(smith_tree, timeline), src)
+    assert got == helpers.run_kisp(helpers.ReferenceInterpreter(smith_tree, timeline), src)
+    assert got == (["5", "8", "1", "0"], None)
+
+
+def test_filter_and_map_with_a_builtin(bare):
+    assert run(bare, "(map inc (list 1 2 3))") == (2, 3, 4)
+    assert run(bare, "(filter not (list true false true))") == (False,)
+    assert run(bare, "(map count (list vacant (list 1 2)))") == (0, 2)
+    with pytest.raises(KispRuntimeError, match="'[+]' expects at least 2 argument"):
+        run(bare, "(map + (list 1))")
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        "(filter (lambda () true) (list 1 2))",
+        "(filter 5 vacant)",
+        "(map 5 (list 1))",
+        "(filter (lambda (x) x) (list true 1 (boom)))",
+        "(filter (lambda (x) (< x 2)) (list 1 2 3 'a'))",
+    ],
+)
+def test_filter_and_map_errors_match_reference(src):
+    got = helpers.run_kisp(Interpreter(), src)
+    assert got == helpers.run_kisp(helpers.ReferenceInterpreter(), src)
+
+
+def test_arity_error_of_a_closure_given_to_map_is_unchanged(bare):
+    with pytest.raises(KispRuntimeError) as exc:
+        run(bare, "(+ 1 (count (map (lambda (x y) x) (list 1 2))))")
+    assert exc.value.message == "function expects 2 argument(s), got 1"
+    assert (exc.value.line, exc.value.col) == (1, 13)
+    assert run(bare, "(map (lambda (x y) x) vacant)") == ()  # never applied
+
+
+def test_filter_and_map_run_a_closure_that_makes_tail_calls(bare):
+    bare.eval_text("(define down (lambda (n) (if (= n 0) 0 (down (- n 1)))))")
+    assert run(bare, "(map (lambda (n) (down n)) (list 5 5000))") == (0, 0)
+    assert run(bare, "(map down (list 3 4000))") == (0, 0)
+    assert run(bare, "(filter (lambda (n) (if (< n 2) true (= (down n) 1))) (list 1 7))") == (1,)
+
+
+def test_filter_and_map_apply_a_reference_closure_through_apply():
+    class Counting(helpers.ReferenceInterpreter):
+        applied = 0
+
+        def apply(self, fn, args, node):
+            self.applied += 1
+            return super().apply(fn, args, node)
+
+    ref = Counting()
+    assert ref.eval_text("(map (lambda (x) (inc x)) (list 1 2 3))") == (2, 3, 4)
+    assert ref.eval_text("(filter (lambda (x) (< x 2)) (list 1 2 3))") == (1,)
+    assert ref.applied == 6
+
+
+def test_attr_errors_in_order(interp):
+    bare = Interpreter()
+    bare.globals.bind("ghost", PersonRef("ghost"))
+    with pytest.raises(KispRuntimeError, match="no family tree loaded"):
+        bare.eval_text("(attr ghost 'shoe-size')")
+    interp.globals.bind("ghost", PersonRef("ghost"))
+    with pytest.raises(KispRuntimeError, match="unknown person 'ghost'"):
+        interp.eval_text("(attr ghost 'shoe-size')")
+    with pytest.raises(KispRuntimeError, match="unknown attribute 'shoe-size'"):
+        interp.eval_text("(attr ego 'shoe-size')")
+    with pytest.raises(KispRuntimeError, match="'attr' expects a string, got numeral"):
+        interp.eval_text("(attr ghost 1)")
 
 
 # --- the nesting limit -------------------------------------------------------------

@@ -135,6 +135,14 @@ def test_shorten_rejects_inverse(standard_dict):
         shorten(standard_dict, P("father^-1"))
 
 
+@pytest.mark.parametrize("reduce", [shorten, optimal_shorten])
+def test_term_too_long_for_the_stack_is_reduction_error(standard_dict, reduce):
+    term = P(" ".join(["son", "(father | mother)"] * 1500))
+    with pytest.raises(ReductionError, match="kin term too long or nested too deeply"):
+        reduce(standard_dict, term)
+    assert shorten(standard_dict, P("son (father | mother)")) == ReducedTerm(("brother",))
+
+
 def test_greedy_never_lengthens(standard_dict):
     rng = random.Random(99)
     for _ in range(200):
