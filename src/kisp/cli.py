@@ -168,7 +168,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 def _cmd_term(args: argparse.Namespace, tree: FamilyTree) -> int:
     from .semantics import eval_term
-    from .terms import KinTermError, parse_kin_term
+    from .terms import TOO_LONG, KinTermError, parse_kin_term
     from .tree import UnknownPersonError
 
     try:
@@ -184,7 +184,7 @@ def _cmd_term(args: argparse.Namespace, tree: FamilyTree) -> int:
     try:
         result = eval_term(tree, term, (args.person,))
     except RecursionError:  # the term operations recurse once per node
-        print("kisp: kin term too long or nested too deeply", file=sys.stderr)
+        print(f"kisp: {TOO_LONG}", file=sys.stderr)
         return EXIT_EVAL
     for pid in sorted(result):
         print(pid)

@@ -15,7 +15,6 @@ types.  ``void`` is a singleton distinct from every other value.
 
 from __future__ import annotations
 
-import functools
 import re
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -627,12 +626,10 @@ class Interpreter:
 
             return checked
         if kind is Application:  # a leaf operand is read in place
-            codes = []  # a loop: a comprehension's frame costs more on Python 3.11
-            for a in (node.head, *node.args):
-                codes.append(
-                    self._leaf(a, scope) if type(a) in _LEAVES else self._analyse(a, scope, j + 1)
-                )
-            head, *args = codes
+            head, *args = [
+                self._leaf(a, scope) if type(a) in _LEAVES else self._analyse(a, scope, j + 1)
+                for a in (node.head, *node.args)
+            ]
             a0, a1, a2 = (*args, None, None, None)[:3]
 
             def application(frame, level, head=head, a0=a0, a1=a1, a2=a2, args=args,
@@ -768,8 +765,6 @@ class Interpreter:
         ``apply(fn, args, node)``.  Builtins that call a function on every
         item of a list, such as ``filter``, ask once per list."""
         if type(fn) is Closure and n == len(fn.params):
-            if fn.code is None:  # made by another evaluator, whose apply runs it
-                return lambda *args: self.apply(fn, args, node)
             depth = self._depth
             if depth >= MAX_DEPTH:
                 raise KispRuntimeError(TOO_DEEP, fn.body.line, fn.body.col)
@@ -872,8 +867,6 @@ def _wanting(kind: type, expected: str) -> Callable[[str, object, KispExpr], obj
     """A check that a builtin's argument is of ``kind``; booleans are no numerals."""
 
     def want(name: str, value: object, node: KispExpr) -> object:
-        if type(value) is kind:
-            return value
         if not isinstance(value, kind) or (kind is int and type(value) is bool):
             raise _arg_error(name, expected, value, node)
         return value
@@ -1013,15 +1006,10 @@ def _builtin_attr(interp, args, node):
     raise KispRuntimeError(f"unknown attribute {key!r}", node.line, node.col)
 
 
-@functools.lru_cache(maxsize=256)  # dates are immutable; errors are not cached
-def _date_literal(text: str) -> date:
-    return parse_date(text)
-
-
 def _builtin_date(interp, args, node):
     text = _want_str("date", args[0], node)
     try:
-        return _date_literal(text)
+        return parse_date(text)
     except ValueError as exc:
         raise KispRuntimeError(str(exc), node.line, node.col) from None
 
@@ -1057,9 +1045,9 @@ def _builtin_future(interp, args, node):
 # Builtins whose value depends on their arguments alone, so that an
 # application of one to literals is computed once (see ``_analyse``).  By
 # name, so that a builtin wrapped in a new ``Builtin`` keeps its purity.
-_PURE_BUILTINS = frozenset(
-    {"date", "+", "-", "*", "<", "=", "inc", "not", "list", "concat", "before", "after", "during"}
-)
+# ``before``, ``after`` and ``during`` are pure too but take dates, and no
+# literal is a date, so they never apply to literals alone.
+_PURE_BUILTINS = frozenset({"date", "+", "-", "*", "<", "=", "inc", "not", "list", "concat"})
 _BUILTINS = [
     Builtin("+", 2, None, _builtin_add),
     Builtin("-", 2, 2, _builtin_sub),

@@ -24,6 +24,7 @@ from importlib import resources
 from typing import Callable, Iterable, Iterator, Union
 
 from .terms import (
+    TOO_LONG,
     KinTerm,
     canonical,
     concat_count,
@@ -65,7 +66,7 @@ def _stack_bounded(fn: Callable) -> Callable:
         try:
             return fn(*args, **kwargs)
         except RecursionError:
-            raise ReductionError("kin term too long or nested too deeply") from None
+            raise ReductionError(TOO_LONG) from None
 
     return bounded
 

@@ -141,6 +141,11 @@ def _lex(src: str) -> list[tuple[str, object, int]]:
 # deep.  A deeper '(' fails as "term nested too deeply".
 MAX_NESTING = 150
 
+# The term operations (evaluation, reduction, expansion) recurse once per
+# node, so a term of about a thousand factors exhausts Python's stack; the
+# ``term`` and ``reduce`` commands both report that with this message.
+TOO_LONG = "kin term too long or nested too deeply"
+
 
 class _Parser:
     def __init__(self, tokens: list[tuple[str, object, int]], length: int):

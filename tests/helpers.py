@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from datetime import date
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from kisp.interp import (
     MAX_DEPTH,
@@ -321,6 +321,11 @@ class ReferenceInterpreter(Interpreter):
                 raise AssertionError(f"unknown node {node!r}")
         finally:
             self._depth = depth
+
+    def caller(self, fn: object, n: int, node: KispExpr) -> Callable:
+        # filter and map check and apply their function per item, as before
+        # the analysed evaluator gave them one caller per list
+        return lambda *args: self.apply(fn, args, node)
 
     def apply(self, fn: object, args: list, node: KispExpr) -> object:
         if type(fn) is Closure:

@@ -860,6 +860,8 @@ def test_filter_and_map_run_a_closure_that_makes_tail_calls(bare):
 
 
 def test_filter_and_map_apply_a_reference_closure_through_apply():
+    # the reference checks and applies per item with its own apply, errors
+    # too, so the differential tests compare two implementations of them
     class Counting(helpers.ReferenceInterpreter):
         applied = 0
 
@@ -871,6 +873,10 @@ def test_filter_and_map_apply_a_reference_closure_through_apply():
     assert ref.eval_text("(map (lambda (x) (inc x)) (list 1 2 3))") == (2, 3, 4)
     assert ref.eval_text("(filter (lambda (x) (< x 2)) (list 1 2 3))") == (1,)
     assert ref.applied == 6
+    for src in ("(map 5 (list 1))", "(filter (lambda () true) (list 1))", "(map + (list 1))"):
+        with pytest.raises(KispRuntimeError):
+            ref.eval_text(src)
+    assert ref.applied == 9
 
 
 def test_attr_errors_in_order(interp):
