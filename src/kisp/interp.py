@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from dataclasses import dataclass, field
 from datetime import date
 from types import FunctionType as _Code  # an analysed term; never a KISP value
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from . import temporal
 from .temporal import Timeline, format_date, parse_date
-from .terms import Atom
+from .terms import Atom, record
 from .tree import FamilyTree, UnknownPersonError, related
 
 KEYWORDS = frozenset(
@@ -67,7 +66,7 @@ class KispRuntimeError(KispError):
 # --- lexer -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Token:
     kind: str  # "(", ")", "numeral", "string", "name"
     value: object
@@ -141,21 +140,21 @@ class KispExpr:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class Literal(KispExpr):
     value: object
     line: int
     col: int
 
 
-@dataclass(frozen=True)
+@record
 class Reference(KispExpr):
     name: str
     line: int
     col: int
 
 
-@dataclass(frozen=True)
+@record
 class Lambda(KispExpr):
     params: tuple[str, ...]
     body: KispExpr
@@ -163,7 +162,7 @@ class Lambda(KispExpr):
     col: int
 
 
-@dataclass(frozen=True)
+@record
 class Define(KispExpr):
     name: str
     value: KispExpr
@@ -171,7 +170,7 @@ class Define(KispExpr):
     col: int
 
 
-@dataclass(frozen=True)
+@record
 class If(KispExpr):
     cond: KispExpr
     then: KispExpr
@@ -180,7 +179,7 @@ class If(KispExpr):
     col: int
 
 
-@dataclass(frozen=True)
+@record
 class ShortCircuit(KispExpr):
     op: str  # "and" | "or"
     operands: tuple[KispExpr, ...]
@@ -188,7 +187,7 @@ class ShortCircuit(KispExpr):
     col: int
 
 
-@dataclass(frozen=True)
+@record
 class Application(KispExpr):
     head: KispExpr
     args: tuple[KispExpr, ...]
@@ -216,20 +215,20 @@ VOID = Void()
 VACANT: tuple = ()
 
 
-@dataclass(frozen=True)
+@record
 class PersonRef:
     id: str
 
 
-@dataclass(frozen=True)
+@record(hidden=("code",))
 class Closure:
     params: tuple[str, ...]
     body: KispExpr
     env: tuple  # the frame the lambda was evaluated in
-    code: Optional[Callable] = field(default=None, compare=False, repr=False)
+    code: Optional[Callable] = None
 
 
-@dataclass(frozen=True)
+@record
 class Builtin:
     name: str
     min_args: int

@@ -19,12 +19,13 @@ Dictionary file format, one entry per line (``#`` starts a comment):
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Iterable, Iterator, Union
 
 from .terms import (
     TOO_LONG,
+    Dual,
+    Inverse,
     KinTerm,
     canonical,
     concat_count,
@@ -33,8 +34,10 @@ from .terms import (
     from_spine,
     parse_kin_term,
     push_dual,
+    record,
     render,
     spine,
+    walk,
 )
 
 Segment = Union[str, KinTerm]  # an English word, or an irreducible kin sub-term
@@ -71,7 +74,7 @@ def _stack_bounded(fn: Callable) -> Callable:
     return bounded
 
 
-@dataclass(frozen=True)
+@record
 class ReducedTerm:
     """Result of reduction: spine segments, words mixed with kin terms."""
 
@@ -188,9 +191,13 @@ class ReductionDictionary:
 
 
 def _normalize(term: KinTerm) -> KinTerm:
-    if contains_inverse(term):
-        raise ReductionError("cannot reduce a term containing inverse")
-    return push_dual(term) if contains_dual(term) else term
+    has_dual = False
+    for node in walk(term):
+        if isinstance(node, Inverse):
+            raise ReductionError("cannot reduce a term containing inverse")
+        if isinstance(node, Dual):
+            has_dual = True
+    return push_dual(term) if has_dual else term
 
 
 @_stack_bounded

@@ -9,17 +9,20 @@ by passing their two endpoints to ``during``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from datetime import date
+
+from .terms import record
 
 DATE_FORMAT = "DD.MM.YYYY"
 
-_DATE_RE = re.compile(r"^(\d{2})\.(\d{2})\.(\d{4})$")
+# ASCII digits only, and the whole text: ``\d`` matches any Unicode digit and
+# ``$`` matches before a trailing newline.
+_DATE_RE = re.compile(r"([0-9]{2})\.([0-9]{2})\.([0-9]{4})")
 
 
 def parse_date(text: str) -> date:
     """Parse a ``DD.MM.YYYY`` literal. Raises ValueError on anything else."""
-    m = _DATE_RE.match(text)
+    m = _DATE_RE.fullmatch(text)
     if m is None:
         raise ValueError(f"bad date literal {text!r}: expected {DATE_FORMAT}")
     day, month, year = (int(g) for g in m.groups())
@@ -33,7 +36,7 @@ def format_date(d: date) -> str:
     return f"{d.day:02d}.{d.month:02d}.{d.year:04d}"
 
 
-@dataclass(frozen=True)
+@record
 class Timeline:
     """All representable dates plus the one point that counts as the present."""
 

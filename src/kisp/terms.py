@@ -17,8 +17,60 @@ tree, e.g. ``(son . (father | mother))``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Iterator, Sequence
+
+
+# The methods of a record class.  ``dataclass(frozen=True)`` writes the same
+# ``__init__``, ``__eq__``, ``__hash__`` and ``__repr__`` bodies, so none is
+# slower; assignment raises on every name, as no record class is subclassed.
+_RECORD_METHODS = """\
+def __init__(self, {params}):
+{assigns}
+def __eq__(self, other):
+    if other.__class__ is self.__class__:
+        return {mine} == {theirs}
+    return NotImplemented
+def __hash__(self):
+    return hash({mine})
+def __repr__(self):
+    return self.__class__.__qualname__ + f"({shown})"
+def __setattr__(self, name, value):
+    raise AttributeError(f"cannot assign to field {{name!r}}")
+def __delattr__(self, name):
+    raise AttributeError(f"cannot delete field {{name!r}}")
+"""
+
+
+def record(cls: type = None, *, hidden: tuple[str, ...] = ()):
+    """Make ``cls`` a frozen record of its annotated fields, as
+    ``dataclass(frozen=True)`` does, without importing ``dataclasses``.
+
+    ``__init__`` takes the fields in order, a class attribute giving a
+    field's default; ``==`` and ``hash`` go by the exact class and the field
+    values, ``repr`` shows them, and assigning or deleting an attribute
+    raises AttributeError.  ``hidden`` fields are set by ``__init__`` but
+    left out of ``==``, ``hash`` and ``repr``.  One ``exec`` per class
+    compiles the methods.
+    """
+    if cls is None:
+        return lambda cls: record(cls, hidden=hidden)
+    fields = tuple(cls.__annotations__)
+    shown = [f for f in fields if f not in hidden]
+    mine = "(" + "".join(f"self.{f}," for f in shown) + ")"
+    namespace = {"_object": object}
+    exec(_RECORD_METHODS.format(
+        params=", ".join(fields),
+        assigns="\n".join(f"    _object.__setattr__(self, {f!r}, {f})" for f in fields),
+        mine=mine,
+        theirs=mine.replace("self.", "other."),
+        shown=", ".join(f"{f}={{self.{f}!r}}" for f in shown),
+    ), namespace)
+    namespace["__init__"].__defaults__ = tuple(cls.__dict__[f] for f in fields if f in cls.__dict__)
+    for name in ("__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"):
+        namespace[name].__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, namespace[name])
+    cls.__match_args__ = fields
+    return cls
 
 
 class Atom(enum.Enum):
@@ -59,29 +111,29 @@ class KinTerm:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class Basic(KinTerm):
     atom: Atom
 
 
-@dataclass(frozen=True)
+@record
 class Concat(KinTerm):
     left: KinTerm
     right: KinTerm
 
 
-@dataclass(frozen=True)
+@record
 class Fork(KinTerm):
     left: KinTerm
     right: KinTerm
 
 
-@dataclass(frozen=True)
+@record
 class Inverse(KinTerm):
     inner: KinTerm
 
 
-@dataclass(frozen=True)
+@record
 class Dual(KinTerm):
     inner: KinTerm
 
@@ -291,13 +343,18 @@ def contains_inverse(term: KinTerm) -> bool:
 
 
 def walk(term: KinTerm) -> Iterator[KinTerm]:
-    """Yield every node of the term tree, preorder."""
-    yield term
-    if isinstance(term, (Concat, Fork)):
-        yield from walk(term.left)
-        yield from walk(term.right)
-    elif isinstance(term, (Inverse, Dual)):
-        yield from walk(term.inner)
+    """Yield every node of the term tree, preorder, from an explicit stack:
+    each node is yielded once, however deep it lies."""
+    stack = [term]
+    pop, push = stack.pop, stack.append
+    while stack:
+        term = pop()
+        yield term
+        if isinstance(term, (Concat, Fork)):
+            push(term.right)
+            push(term.left)
+        elif isinstance(term, (Inverse, Dual)):
+            push(term.inner)
 
 
 def spine(term: KinTerm) -> tuple[KinTerm, ...]:

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
 from datetime import date
 from typing import Iterable, Optional, Union
 
 from .temporal import parse_date
-from .terms import Atom
+from .terms import Atom, record
 
 
 class Sex(enum.Enum):
@@ -35,7 +34,7 @@ class Sex(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@record
 class Person:
     id: str
     name: str
@@ -44,20 +43,20 @@ class Person:
     birthplace: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@record
 class ParentalBond:
     parent: str
     child: str
 
 
-@dataclass(frozen=True)
+@record
 class MaritalBond:
     a: str
     b: str
     wedding: date
 
 
-@dataclass(frozen=True)
+@record
 class ConstraintViolation:
     constraint: str  # "C1".."C6"
     message: str

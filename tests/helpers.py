@@ -1,14 +1,15 @@
 """Shared test machinery: an independent brute-force evaluator for kin
 terms (built straight from the raw tree JSON, bypassing the library's
 tree and semantics code paths), a full-scan inverse oracle, random term
-generators, the interpreter's original pairwise KISP equality, and its
-original tree-walking evaluator."""
+generators, the recursive ``walk`` that judges the library's explicit-stack
+one, the interpreter's original pairwise KISP equality, and its original
+tree-walking evaluator."""
 
 from __future__ import annotations
 
 import random
 from datetime import date
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from kisp.interp import (
     MAX_DEPTH,
@@ -179,6 +180,18 @@ def random_block(rng: random.Random) -> KinTerm:
 def random_chain(rng: random.Random, n_concats: int) -> KinTerm:
     """A pure concatenation chain with exactly ``n_concats`` joins."""
     return from_spine([random_block(rng) for _ in range(n_concats + 1)])
+
+
+def recursive_walk(term: KinTerm) -> Iterator[KinTerm]:
+    """``terms.walk`` as it was, a recursive generator: every node of the
+    term tree, preorder.  Each node passes up through every generator above
+    it, and a deep term exhausts the Python stack."""
+    yield term
+    if isinstance(term, (Concat, Fork)):
+        yield from recursive_walk(term.left)
+        yield from recursive_walk(term.right)
+    elif isinstance(term, (Inverse, Dual)):
+        yield from recursive_walk(term.inner)
 
 
 def random_subset(rng: random.Random, ids: list[str]) -> frozenset[str]:

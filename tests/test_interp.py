@@ -685,6 +685,39 @@ def test_analysed_evaluator_matches_reference(src):
     assert got == helpers.run_kisp(helpers.ReferenceInterpreter(), src)
 
 
+# The builtins whose application to literals the evaluator folds, and the
+# builtins a folded name may be rebound to.
+FOLDED = ("date", "+", "-", "*", "<", "=", "inc", "not", "list", "concat")
+REBOUND_TO = FOLDED + ("count", "before", "append")
+
+
+@st.composite
+def rebound_fold_programs(draw):
+    """A closure around a folded builtin applied to literals, called, then
+    called again after each rebinding of that builtin's name, to another
+    builtin or to a lambda."""
+    name = draw(st.sampled_from(FOLDED))
+    literals = draw(st.lists(st.sampled_from(("2", "3") + LITERALS), max_size=3))
+    pure = f"({' '.join((name, *literals))})"
+    body = draw(st.sampled_from([pure, f"(list {pure})"]))  # in tail position or not
+    terms = [f"(define f (lambda () {body}))", "(f)"]
+    for _ in range(draw(st.integers(1, 2))):
+        if draw(st.booleans()):
+            value = draw(st.sampled_from(REBOUND_TO))
+        else:
+            params = tuple(draw(st.lists(st.sampled_from(PARAMS), max_size=3, unique=True)))
+            value = f"(lambda ({' '.join(params)}) {draw(kisp_terms(params, (), 1))})"
+        terms += [f"(define {name} {value})", "(f)"]
+    return "\n".join(terms)
+
+
+@settings(max_examples=200, deadline=2000)
+@given(rebound_fold_programs())
+def test_folded_value_follows_its_rebound_builtin_like_the_reference(src):
+    got = helpers.run_kisp(Interpreter(), src)
+    assert got == helpers.run_kisp(helpers.ReferenceInterpreter(), src)
+
+
 @pytest.mark.parametrize(
     "src",
     [

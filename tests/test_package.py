@@ -70,12 +70,9 @@ def test_unknown_name_raises_attribute_error():
         exec("from kisp import frobnicate", {})
 
 
-def loaded_by(code: str) -> set[str]:
-    """The kisp submodules a fresh interpreter has imported after ``code``."""
-    report = (
-        "\nimport json, sys"
-        "\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('kisp.'))))"
-    )
+def imported_by(code: str) -> set[str]:
+    """The modules a fresh interpreter has imported after ``code``."""
+    report = "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     done = subprocess.run(
@@ -83,6 +80,11 @@ def loaded_by(code: str) -> set[str]:
         capture_output=True, text=True, env=env, check=True, timeout=60,
     )
     return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def loaded_by(code: str) -> set[str]:
+    """The kisp submodules a fresh interpreter has imported after ``code``."""
+    return {module for module in imported_by(code) if module.startswith("kisp.")}
 
 
 def test_import_kisp_loads_no_submodule():
@@ -114,3 +116,16 @@ def test_tree_commands_do_not_load_interpreter(argv):
 
 def test_eval_loads_interpreter():
     assert "kisp.interp" in cli_loads("--tree", str(SMITH), "eval", "(+ 1 2)")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("reduce", "son (father | mother)"), ("--tree", str(SMITH), "validate"),
+     ("--tree", str(SMITH), "term", "son (father|mother)", "eli"),
+     ("--tree", str(SMITH), "eval", "(+ 1 2)")],
+    ids=["reduce", "validate", "term", "eval"],
+)
+def test_commands_import_neither_dataclasses_nor_inspect(argv):
+    # the records are built without them, which keeps them out of start-up
+    code = f"import kisp.cli; assert kisp.cli.main({list(argv)!r}) == 0"
+    assert not imported_by(code) & {"dataclasses", "inspect"}

@@ -30,7 +30,8 @@ def test_format_date_zero_pads():
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "1.9.1939", "01-09-1939", "1939.09.01", "32.01.2000", "29.02.2001", "01.13.2000", "01.09.39", "abc", "01.09.1939 "],
+    ["", "1.9.1939", "01-09-1939", "1939.09.01", "32.01.2000", "29.02.2001", "01.13.2000", "01.09.39", "abc", "01.09.1939 ",
+     "01.01.2000\n", "\u0660\u0661.\u0660\u0661.\u0662\u0660\u0660\u0660"],
 )
 def test_parse_date_rejects(bad):
     with pytest.raises(ValueError):

@@ -22,9 +22,10 @@ from kisp.terms import (
     push_dual,
     render,
     spine,
+    walk,
 )
 
-from helpers import random_term
+from helpers import random_term, recursive_walk
 
 FATHER = Basic(Atom.FATHER)
 MOTHER = Basic(Atom.MOTHER)
@@ -263,6 +264,24 @@ def test_contains_checks():
     assert not contains_inverse(parse_kin_term("son father"))
     assert contains_dual(parse_kin_term("son^+"))
     assert not contains_dual(parse_kin_term("son^-1"))
+
+
+@given(term_trees(max_leaves=40))
+def test_walk_is_the_recursive_preorder(term):
+    # the same nodes, not only equal ones, in the same order
+    assert [id(t) for t in walk(term)] == [id(t) for t in recursive_walk(term)]
+
+
+def test_walk_and_contains_return_on_a_100k_factor_chain():
+    chain = from_spine([SON] * 100_000)
+    assert sum(1 for _ in walk(chain)) == 2 * 100_000 - 1
+    assert not contains_dual(chain) and not contains_inverse(chain)
+    assert contains_dual(from_spine([SON] * 99_999 + [Dual(SON)]))
+    assert contains_inverse(from_spine([SON] * 99_999 + [Inverse(SON)]))
+    nested = SON
+    for _ in range(100_000):
+        nested = Dual(nested)
+    assert contains_dual(nested) and not contains_inverse(nested)
 
 
 def _in_deep_stack(frames, fn):
