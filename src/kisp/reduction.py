@@ -19,7 +19,7 @@ Dictionary file format, one entry per line (``#`` starts a comment):
 from __future__ import annotations
 
 import functools
-from importlib import resources
+import pkgutil
 from typing import Callable, Iterable, Iterator, Union
 
 from .terms import (
@@ -186,7 +186,7 @@ class ReductionDictionary:
     @classmethod
     def standard(cls) -> "ReductionDictionary":
         """The built-in English dictionary shipped with the package."""
-        text = resources.files("kisp.data").joinpath("standard.dict").read_text("utf-8")
+        text = pkgutil.get_data("kisp", "data/standard.dict").decode("utf-8")
         return cls.parse(text)
 
 

@@ -69,7 +69,6 @@ def record(cls: type = None, *, hidden: tuple[str, ...] = ()):
     for name in ("__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"):
         namespace[name].__qualname__ = f"{cls.__qualname__}.{name}"
         setattr(cls, name, namespace[name])
-    cls.__match_args__ = fields
     return cls
 
 

@@ -119,10 +119,3 @@ def test_records_are_frozen():
         del term.right
     assert term == Concat(SON, FATHER)
 
-
-def test_records_match_positional_patterns():
-    match Concat(SON, Dual(FATHER)):
-        case Concat(left, Dual(inner)):
-            assert (left, inner) == (SON, FATHER)
-        case _:
-            pytest.fail("Concat did not match its fields in order")
